@@ -57,8 +57,8 @@ class Rng {
   /// Deterministic per-stream generator: the RNG for stream `stream` of
   /// `base_seed`, derived with a SplitMix64 mix. Unlike `fork()` this does
   /// not advance any generator state, so stream i's RNG depends only on
-  /// (base_seed, i) — the batch runner uses it to give concurrent jobs
-  /// schedule-independent randomness.
+  /// (base_seed, i) — the service and the sampler use it to give concurrent
+  /// jobs and shots schedule-independent randomness.
   static Rng for_stream(std::uint64_t base_seed, std::uint64_t stream);
 
   /// The seed value `for_stream` constructs its generator from, exposed as a

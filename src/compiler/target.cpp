@@ -1,6 +1,6 @@
 #include "compiler/target.h"
 
-#include "common/error.h"
+#include <utility>
 
 namespace tetris::compiler {
 
@@ -53,13 +53,5 @@ DeviceSelection device_for_checked(int n) {
 }
 
 Target device_for(int n) { return device_for_checked(n).target; }
-
-Target device_for_strict(int n) {
-  DeviceSelection sel = device_for_checked(n);
-  if (sel.fallback) {
-    throw InvalidArgument("device_for_strict: " + sel.note);
-  }
-  return std::move(sel.target);
-}
 
 }  // namespace tetris::compiler

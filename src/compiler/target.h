@@ -66,11 +66,8 @@ DeviceSelection device_for_checked(int n);
 
 /// The selection rule the experiments use: `device_for_checked(n).target`.
 /// Kept for callers that accept the silent ring fallback; new code should
-/// prefer the checked variant (surface the warning) or the strict one.
+/// prefer `device_for_checked`, which reports the fallback so the caller can
+/// surface the warning.
 Target device_for(int n);
-
-/// Like device_for, but refuses to degrade: throws InvalidArgument with the
-/// fallback note when `n` exceeds the preset band.
-Target device_for_strict(int n);
 
 }  // namespace tetris::compiler

@@ -1,11 +1,9 @@
 #include "lock/pipeline.h"
 
-#include <chrono>
 #include <utility>
 
 #include "common/error.h"
 #include "metrics/metrics.h"
-#include "service/service.h"
 #include "sim/sampler.h"
 
 namespace tetris::lock {
@@ -180,44 +178,6 @@ FlowJob make_flow_job(std::string name, qir::Circuit circuit,
   job.measured = std::move(measured);
   job.config = config;
   return job;
-}
-
-FlowBatchResult run_flow_batch(const std::vector<FlowJob>& jobs,
-                               std::uint64_t base_seed,
-                               unsigned num_threads) {
-  // Compatibility wrapper over the service facade. submit_all derives job
-  // i's seed as Rng::stream_seed(base_seed, i) — the exact stream derivation
-  // this function has always used — so results are bit-identical to the
-  // pre-service implementation. The cache is off: callers of the legacy API
-  // expect every job to actually run.
-  service::ServiceConfig config;
-  config.num_threads = num_threads;
-  config.base_seed = base_seed;
-  config.cache_capacity = 0;
-  service::Service svc(config);
-
-  const auto start = std::chrono::steady_clock::now();
-  svc.submit_all(jobs);
-  auto outcomes = svc.wait_all();
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  FlowBatchResult batch;
-  batch.items.resize(jobs.size());
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    FlowBatchItem& item = batch.items[i];
-    item.name = jobs[i].name;
-    item.ok = outcomes[i].state == service::JobState::kDone;
-    item.error = outcomes[i].status.message;
-    item.seconds = outcomes[i].seconds;
-    if (item.ok) item.result = std::move(outcomes[i].result);
-    if (!item.ok) ++batch.failures;
-  }
-  batch.wall_seconds = wall;
-  batch.circuits_per_second =
-      wall > 0.0 ? static_cast<double>(jobs.size()) / wall : 0.0;
-  return batch;
 }
 
 }  // namespace tetris::lock

@@ -106,35 +106,4 @@ struct FlowJob {
 FlowJob make_flow_job(std::string name, qir::Circuit circuit,
                       std::vector<int> measured = {}, FlowConfig config = {});
 
-/// Per-job outcome of `run_flow_batch`.
-struct FlowBatchItem {
-  std::string name;
-  bool ok = false;
-  std::string error;     ///< exception message when !ok
-  double seconds = 0.0;  ///< this job's own wall time
-  FlowResult result;     ///< valid only when ok
-};
-
-/// Batch outcome: per-job items (in job order) plus aggregate throughput.
-struct FlowBatchResult {
-  std::vector<FlowBatchItem> items;
-  std::size_t failures = 0;
-  double wall_seconds = 0.0;
-  double circuits_per_second = 0.0;
-};
-
-/// Runs every job through `run_flow`, concurrently on `num_threads` workers
-/// (0 = the shared global pool). Job i's RNG is derived from (base_seed, i)
-/// via `Rng::for_stream`, so each job's result is bit-identical whatever the
-/// thread count or completion order; a failing job is reported in its item
-/// and does not disturb its siblings.
-///
-/// Compatibility wrapper: this is now a thin blocking shim over
-/// `service::Service` (submit_all + wait_all with the cache disabled), which
-/// is the preferred programmatic API — it adds async submission, polling,
-/// streaming drain, result caching, and structured status codes.
-FlowBatchResult run_flow_batch(const std::vector<FlowJob>& jobs,
-                               std::uint64_t base_seed,
-                               unsigned num_threads = 0);
-
 }  // namespace tetris::lock

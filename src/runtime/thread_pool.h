@@ -23,13 +23,13 @@ namespace tetris::runtime {
 /// threads; `submit` returns a `std::future` that carries the task's return
 /// value or its exception. The pool is intentionally simple — no work
 /// stealing, no priorities — because every hot loop in the library goes
-/// through `parallel_for` (chunked, self-balancing via a shared cursor) or
-/// `BatchRunner` (coarse independent jobs), neither of which benefits from a
-/// fancier scheduler.
+/// through `parallel_for` or `run_chunked` (both chunked, self-balancing via
+/// a shared cursor), and `service::Service` submits coarse independent flow
+/// jobs; none of them benefits from a fancier scheduler.
 ///
 /// Most callers should not construct a pool: use `ThreadPool::global()`,
 /// which is sized from `--jobs` / `TETRIS_THREADS` / the hardware and shared
-/// by the statevector kernels and the batch runner.
+/// by the statevector kernels, the sampler, and the service.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers; 0 means `std::thread::hardware_concurrency`.

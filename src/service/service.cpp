@@ -209,7 +209,7 @@ std::vector<JobHandle> Service::submit_all(std::vector<lock::FlowJob> jobs) {
 void Service::enqueue(const std::shared_ptr<JobRecord>& record) {
   // From inside a worker of the shared global pool, queueing and waiting
   // would deadlock the fixed pool (a pool task waiting for a pool task); run
-  // the job inline instead, exactly like BatchRunner and parallel_for do.
+  // the job inline instead, exactly like parallel_for does.
   if (!private_pool_ && runtime::ThreadPool::on_worker_thread()) {
     execute(record);
     return;

@@ -199,9 +199,9 @@ std::uint64_t flow_fingerprint(const lock::FlowJob& job);
 /// Determinism: a job's randomness comes exclusively from its seed. The
 /// two-argument `submit` takes the seed verbatim; the one-argument overload
 /// uses `Rng::stream_seed(base_seed, 0)` and `submit_all` gives the i-th job
-/// `Rng::stream_seed(base_seed, i)` — the same derivation `run_flow_batch`
-/// has always used, so a batch through the service is bit-identical to the
-/// legacy API at any thread count. Because outputs are a pure function of
+/// `Rng::stream_seed(base_seed, i)`, so a batch's per-job results depend on
+/// (base_seed, index) alone and are bit-identical at any thread count or
+/// completion order. Because outputs are a pure function of
 /// (circuit, seed, fingerprint), serving a repeated triple from the cache is
 /// indistinguishable from re-running it — with one caveat: circuit *names*
 /// are reporting metadata excluded from `content_hash()`, so a cached

@@ -6,11 +6,11 @@
 namespace tetris::sim {
 
 /// The dense amplitude engine behind the Backend interface — a thin adapter
-/// over sim::StateVector, which stays a concrete class (the sampler's
-/// statevector fast path, the fusion engine, and the tests drive it
-/// directly; this wrapper adds the virtual dispatch only where a generic
-/// engine is wanted). Executes every gate kind of the IR; width-capped at
-/// 28 qubits by the underlying register.
+/// over sim::StateVector, which stays a concrete class (the fusion engine
+/// and the tests drive it directly, and sim::sample reaches it through
+/// `state()` for the fused ideal run and each errored shot's fused-prefix
+/// replay). Executes every gate kind of the IR; width-capped at 28 qubits
+/// by the underlying register.
 class StateVectorBackend final : public Backend {
  public:
   static BackendCaps caps() {
@@ -37,8 +37,8 @@ class StateVectorBackend final : public Backend {
   std::map<std::string, double> distribution(
       const std::vector<int>& measured = {}) const override;
 
-  /// The wrapped register, for callers that need the concrete API (fusion,
-  /// fidelity against a raw StateVector).
+  /// The wrapped register, for callers that need the concrete API (fused
+  /// runs, fidelity against a raw StateVector).
   StateVector& state() { return sv_; }
   const StateVector& state() const { return sv_; }
 

@@ -1,15 +1,14 @@
 #include "sim/sampler.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-
 #include <memory>
 
 #include "common/error.h"
 #include "runtime/shard.h"
 #include "runtime/thread_pool.h"
 #include "sim/backend/backend.h"
+#include "sim/backend/statevector_backend.h"
 #include "sim/fusion.h"
 #include "sim/statevector.h"
 
@@ -19,19 +18,17 @@ namespace {
 
 const char kPaulis[] = {'I', 'X', 'Y', 'Z'};
 
-/// Applies a uniformly random non-identity Pauli string to `qubits`.
-/// Templated over the register type (StateVector or sim::Backend): the draw
-/// and the per-qubit application order are part of the per-shot determinism
-/// contract, so every engine must share this exact code path.
-template <typename Register>
-void inject_depolarizing(Register& sv, const std::vector<int>& qubits,
+/// Applies a uniformly random non-identity Pauli string to `qubits`. The
+/// draw and the per-qubit application order are part of the per-shot
+/// determinism contract, which every engine shares through this one path.
+void inject_depolarizing(Backend& reg, const std::vector<int>& qubits,
                          Rng& rng) {
   std::size_t num_strings = 1;
   for (std::size_t i = 0; i < qubits.size(); ++i) num_strings *= 4;
   // Draw from [1, 4^k - 1]: skip the all-identity string.
   std::size_t code = 1 + rng.index(num_strings - 1);
   for (int q : qubits) {
-    sv.apply_pauli(kPaulis[code & 3], q);
+    reg.apply_pauli(kPaulis[code & 3], q);
     code >>= 2;
   }
 }
@@ -40,17 +37,6 @@ void inject_depolarizing(Register& sv, const std::vector<int>& qubits,
 double gate_error_prob(const qir::Gate& g, const NoiseModel& noise) {
   if (g.kind == qir::GateKind::Barrier) return 0.0;
   return g.num_qubits() >= 2 ? noise.p2 : noise.p1;
-}
-
-/// Extracts the measured-bit outcome string for a raw basis index.
-std::string project_outcome(std::size_t index, const std::vector<int>& measured) {
-  std::string out(measured.size(), '0');
-  // Qiskit convention: measured.back() (highest position) is leftmost.
-  for (std::size_t i = 0; i < measured.size(); ++i) {
-    bool bit = (index >> measured[i]) & 1;
-    out[measured.size() - 1 - i] = bit ? '1' : '0';
-  }
-  return out;
 }
 
 std::vector<int> resolve_measured(const qir::Circuit& circuit,
@@ -79,11 +65,13 @@ std::size_t apply_readout(std::size_t index, const std::vector<int>& measured,
 
 /// Read-only context shared by every shard worker of one sample() call.
 /// All pointers reference data owned by sample()'s frame, which outlives
-/// every access (see the straggler-safety note in run_sharded).
+/// every access (see the straggler-safety note in runtime::run_chunked).
 struct SampleContext {
   const qir::Circuit* circuit = nullptr;
-  const StateVector* ideal = nullptr;  ///< noise-free full run, shared read-only
-  const FusionPlan* plan = nullptr;  ///< errored shots replay its prefix (fuse)
+  const Backend* ideal = nullptr;  ///< prepared noise-free run, shared read-only
+  BackendKind kind = BackendKind::kStateVector;  ///< trajectory register engine
+  /// Statevector with `fuse` only: errored shots replay its prefix.
+  const FusionPlan* plan = nullptr;
   const std::vector<int>* measured = nullptr;
   const NoiseModel* noise = nullptr;
   const std::vector<double>* error_probs = nullptr;  ///< per gate index
@@ -93,78 +81,17 @@ struct SampleContext {
 
 /// Runs shots [begin, end) of the deterministic shot grid into `out`.
 ///
-/// Shot `i` draws exclusively from `Rng::for_stream(base_seed, i)`, so the
-/// outcomes of a range depend only on its indices — never on which thread or
-/// chunk executes it.
+/// Shot `i` draws exclusively from `Rng::for_stream(base_seed, i)` — the
+/// error-site Bernoullis, the injection draws in site order, one uniform
+/// for the outcome, then the readout flips — so the outcomes of a range
+/// depend only on its indices, never on which thread or chunk executes it,
+/// and an engine swap reproduces the statevector's shots wherever the
+/// engine's arithmetic agrees with it (exactly so on the Clifford grid).
 void run_shot_range(const SampleContext& ctx, std::size_t begin,
                     std::size_t end, Counts& out) {
   const auto& gates = ctx.circuit->gates();
-  // The trajectory register is only needed when a gate error can fire; a
-  // 0-qubit placeholder keeps the error-free path allocation-free.
-  StateVector traj(ctx.any_gate_noise ? ctx.circuit->num_qubits() : 0);
-  std::vector<std::size_t> error_sites;
-  for (std::size_t shot = begin; shot < end; ++shot) {
-    Rng rng = Rng::for_stream(ctx.base_seed, shot);
-    std::size_t raw;
-    error_sites.clear();
-    if (ctx.any_gate_noise) {
-      for (std::size_t i = 0; i < gates.size(); ++i) {
-        if ((*ctx.error_probs)[i] > 0.0 &&
-            rng.bernoulli((*ctx.error_probs)[i])) {
-          error_sites.push_back(i);
-        }
-      }
-    }
-    if (error_sites.empty()) {
-      raw = ctx.ideal->sample(rng);
-    } else {
-      traj.reset();
-      std::size_t i = 0;
-      std::size_t next_err = 0;
-      if (ctx.plan != nullptr) {
-        // Replay the fused plan up to the first injection site: every op
-        // fully before the site fuses safely, and the injection draws below
-        // happen in site order exactly as in the unfused replay, so the
-        // shot's randomness stream is untouched.
-        i = apply_fused_prefix(traj, *ctx.plan, error_sites[0] + 1);
-        while (next_err < error_sites.size() && error_sites[next_err] < i) {
-          inject_depolarizing(traj, gates[error_sites[next_err]].qubits, rng);
-          ++next_err;
-        }
-      }
-      for (; i < gates.size(); ++i) {
-        traj.apply_gate(gates[i]);
-        if (next_err < error_sites.size() && error_sites[next_err] == i) {
-          inject_depolarizing(traj, gates[i].qubits, rng);
-          ++next_err;
-        }
-      }
-      raw = traj.sample(rng);
-    }
-    raw = apply_readout(raw, *ctx.measured, ctx.noise->readout, rng);
-    ++out.histogram[project_outcome(raw, *ctx.measured)];
-  }
-}
-
-/// Runs shots [begin, end) on a generic sim::Backend engine, consuming the
-/// exact randomness sequence of run_shot_range — same error-site Bernoullis,
-/// same injection draws, one uniform for the outcome, then readout flips —
-/// so a backend swap reproduces the statevector's shots wherever the
-/// engine's arithmetic agrees with it (exactly so on the Clifford grid).
-struct BackendSampleContext {
-  const qir::Circuit* circuit = nullptr;
-  const Backend* ideal = nullptr;  ///< prepared noise-free run, shared read-only
-  BackendKind kind = BackendKind::kStateVector;  ///< for trajectory registers
-  const std::vector<int>* measured = nullptr;
-  const NoiseModel* noise = nullptr;
-  const std::vector<double>* error_probs = nullptr;  ///< per gate index
-  bool any_gate_noise = false;
-  std::uint64_t base_seed = 0;  ///< base of the per-shot stream family
-};
-
-void run_backend_shot_range(const BackendSampleContext& ctx, std::size_t begin,
-                            std::size_t end, Counts& out) {
-  const auto& gates = ctx.circuit->gates();
+  // The trajectory register is only needed when a gate error can fire, so
+  // the error-free path stays allocation-free.
   std::unique_ptr<Backend> traj;
   if (ctx.any_gate_noise) {
     traj = make_backend(ctx.kind, ctx.circuit->num_qubits());
@@ -186,8 +113,21 @@ void run_backend_shot_range(const BackendSampleContext& ctx, std::size_t begin,
       raw = ctx.ideal->sample_index(rng);
     } else {
       traj->reset();
+      std::size_t i = 0;
       std::size_t next_err = 0;
-      for (std::size_t i = 0; i < gates.size(); ++i) {
+      if (ctx.plan != nullptr) {
+        // Replay the fused plan up to the first injection site: every op
+        // fully before the site fuses safely, and the injection draws below
+        // happen in site order exactly as in the unfused replay, so the
+        // shot's randomness stream is untouched.
+        StateVector& sv = static_cast<StateVectorBackend&>(*traj).state();
+        i = apply_fused_prefix(sv, *ctx.plan, error_sites[0] + 1);
+        while (next_err < error_sites.size() && error_sites[next_err] < i) {
+          inject_depolarizing(*traj, gates[error_sites[next_err]].qubits, rng);
+          ++next_err;
+        }
+      }
+      for (; i < gates.size(); ++i) {
         traj->apply_gate(gates[i]);
         if (next_err < error_sites.size() && error_sites[next_err] == i) {
           inject_depolarizing(*traj, gates[i].qubits, rng);
@@ -197,25 +137,24 @@ void run_backend_shot_range(const BackendSampleContext& ctx, std::size_t begin,
       raw = traj->sample_index(rng);
     }
     raw = apply_readout(raw, *ctx.measured, ctx.noise->readout, rng);
-    ++out.histogram[project_outcome(raw, *ctx.measured)];
+    ++out.histogram[project_index(raw, *ctx.measured)];
   }
 }
 
-/// Shards `shots` over `pool` with `width` participants via
-/// `runtime::run_chunked` (caller-participates cursor: safe from inside a
-/// pool worker, degrades to serial on a saturated pool) and merges the
-/// per-chunk histograms in index order into `total`. Chunk c writes only to
-/// partial[c] and draws only from shot-indexed RNG streams, so the merged
-/// histogram is independent of width, pool, and claim order. `range` is one
-/// of the run_*_shot_range functions bound to its context.
-template <typename RangeFn>
-void run_sharded(const RangeFn& range, std::size_t shots, std::size_t chunk,
+/// Shards `shots` over `pool` in `num_chunks` near-equal chunks with `width`
+/// participants via `runtime::run_chunked` (caller-participates cursor: safe
+/// from inside a pool worker, degrades to serial on a saturated pool) and
+/// merges the per-chunk histograms in index order into `total`. Chunk c
+/// writes only to partial[c] and draws only from shot-indexed RNG streams,
+/// so the merged histogram is independent of width, pool, and claim order.
+void run_sharded(const SampleContext& ctx, std::size_t shots,
                  std::size_t num_chunks, unsigned width,
                  runtime::ThreadPool& pool, Counts& total) {
-  std::vector<Counts> partial(num_chunks);
-  runtime::run_chunked(pool, num_chunks, width, [&](std::size_t c) {
+  const std::size_t chunk = (shots + num_chunks - 1) / num_chunks;
+  std::vector<Counts> partial((shots + chunk - 1) / chunk);
+  runtime::run_chunked(pool, partial.size(), width, [&](std::size_t c) {
     const std::size_t begin = c * chunk;
-    range(begin, std::min(shots, begin + chunk), partial[c]);
+    run_shot_range(ctx, begin, std::min(shots, begin + chunk), partial[c]);
   });
   for (Counts& p : partial) {
     for (const auto& [key, value] : p.histogram) {
@@ -293,67 +232,38 @@ Counts sample(const qir::Circuit& circuit, const NoiseModel& noise, Rng& rng,
   const std::size_t num_chunks =
       std::min<std::size_t>(by_grain, static_cast<std::size_t>(width) * 4);
 
+  // One prepared noise-free run serves every error-free shot, shared
+  // read-only by all shard workers; errored shots re-simulate on their own
+  // trajectory registers of the same engine.
   const BackendKind resolved = resolve_backend(options.backend, circuit);
-  if (resolved == BackendKind::kStateVector) {
-    // The reference path, byte-for-byte the pre-backend sampler: one ideal
-    // run serves every error-free shot, shared read-only by all shard
-    // workers (StateVector::sample is const). With options.fuse this one
-    // run goes through the fused kernels, and the plan is kept for the
-    // errored trajectories below: each replays the fused prefix up to its
-    // first injection site (apply_fused_prefix) and only simulates the tail
-    // gate by gate — a per-shot injection site is a fence mid-stream, not a
-    // reason to abandon the whole plan.
-    StateVector ideal(circuit.num_qubits());
-    FusionPlan plan;
-    if (options.fuse) {
-      plan = FusionPlan::build(circuit);
-      ideal.apply_fused(plan);
-    } else {
-      ideal.apply_circuit(circuit);
-    }
-
-    SampleContext ctx;
-    ctx.circuit = &circuit;
-    ctx.ideal = &ideal;
-    ctx.plan = options.fuse ? &plan : nullptr;
-    ctx.measured = &measured;
-    ctx.noise = &noise;
-    ctx.error_probs = &error_probs;
-    ctx.any_gate_noise = any_gate_noise;
-    ctx.base_seed = base_seed;
-
-    if (width == 1 || num_chunks <= 1) {
-      run_shot_range(ctx, 0, options.shots, counts);
-      return counts;
-    }
-    const std::size_t chunk = (options.shots + num_chunks - 1) / num_chunks;
-    run_sharded(
-        [&ctx](std::size_t b, std::size_t e, Counts& out) {
-          run_shot_range(ctx, b, e, out);
-        },
-        options.shots, chunk, (options.shots + chunk - 1) / chunk, width,
-        *pool, counts);
-    return counts;
-  }
-
-  // Generic engine path (stabilizer / unitary). Same shape as above: one
-  // prepared ideal register shared read-only across shards, per-shot
-  // trajectory registers for errored shots.
   std::unique_ptr<Backend> ideal = make_backend(resolved, circuit.num_qubits());
   if (any_gate_noise && !ideal->capabilities().supports_noise) {
     throw InvalidArgument(std::string(ideal->name()) +
                           " backend cannot run gate-noise trajectories "
                           "(supports_noise is false)");
   }
-  ideal->apply(circuit);  // structured UnsupportedGate on an unsupported gate
+  // `fuse` is a statevector kernel detail. The ideal run goes through the
+  // fused kernels and the plan is kept for the errored trajectories: each
+  // replays the fused prefix up to its first injection site and simulates
+  // only the tail gate by gate — a per-shot injection site is a fence
+  // mid-stream, not a reason to abandon the whole plan.
+  FusionPlan plan;
+  const bool fuse = options.fuse && resolved == BackendKind::kStateVector;
+  if (fuse) {
+    plan = FusionPlan::build(circuit);
+    static_cast<StateVectorBackend&>(*ideal).state().apply_fused(plan);
+  } else {
+    ideal->apply(circuit);  // structured UnsupportedGate on an unsupported gate
+  }
   // Cache the sampling form before the register is shared across shard
   // workers: const queries on an unprepared engine rebuild it per call.
   ideal->prepare();
 
-  BackendSampleContext ctx;
+  SampleContext ctx;
   ctx.circuit = &circuit;
   ctx.ideal = ideal.get();
   ctx.kind = resolved;
+  ctx.plan = fuse ? &plan : nullptr;
   ctx.measured = &measured;
   ctx.noise = &noise;
   ctx.error_probs = &error_probs;
@@ -361,31 +271,19 @@ Counts sample(const qir::Circuit& circuit, const NoiseModel& noise, Rng& rng,
   ctx.base_seed = base_seed;
 
   if (width == 1 || num_chunks <= 1) {
-    run_backend_shot_range(ctx, 0, options.shots, counts);
-    return counts;
+    run_shot_range(ctx, 0, options.shots, counts);
+  } else {
+    run_sharded(ctx, options.shots, num_chunks, width, *pool, counts);
   }
-  const std::size_t chunk = (options.shots + num_chunks - 1) / num_chunks;
-  run_sharded(
-      [&ctx](std::size_t b, std::size_t e, Counts& out) {
-        run_backend_shot_range(ctx, b, e, out);
-      },
-      options.shots, chunk, (options.shots + chunk - 1) / chunk, width, *pool,
-      counts);
   return counts;
 }
 
 std::map<std::string, double> ideal_distribution(const qir::Circuit& circuit,
                                                  const std::vector<int>& measured) {
   std::vector<int> m = resolve_measured(circuit, measured);
-  StateVector sv(circuit.num_qubits());
-  sv.apply_circuit(circuit);
-  std::map<std::string, double> out;
-  auto probs = sv.probabilities();
-  for (std::size_t i = 0; i < probs.size(); ++i) {
-    if (probs[i] <= 0.0) continue;
-    out[project_outcome(i, m)] += probs[i];
-  }
-  return out;
+  StateVectorBackend sv(circuit.num_qubits());
+  sv.apply(circuit);
+  return sv.distribution(m);
 }
 
 std::string classical_outcome(const qir::Circuit& circuit,
@@ -432,11 +330,7 @@ std::string classical_outcome(const qir::Circuit& circuit,
   for (std::size_t q = 0; q < bits.size(); ++q) {
     if (bits[q]) index |= std::size_t{1} << q;
   }
-  std::string out(m.size(), '0');
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    if ((index >> m[i]) & 1) out[m.size() - 1 - i] = '1';
-  }
-  return out;
+  return project_index(index, m);
 }
 
 }  // namespace tetris::sim

@@ -112,9 +112,10 @@ struct SampleOptions {
 
 /// \brief Samples measurement outcomes of `circuit` under `noise`.
 ///
-/// Ideal (noise-free) parts are served from a single state-vector run; shots
-/// on which at least one gate error fires are re-simulated as individual
-/// Pauli trajectories. Readout errors are applied per shot.
+/// Ideal (noise-free) parts are served from a single run of the resolved
+/// engine; shots on which at least one gate error fires are re-simulated as
+/// individual Pauli trajectories on that engine. Readout errors are applied
+/// per shot.
 ///
 /// **Determinism contract.** The call consumes exactly one 64-bit draw from
 /// `rng` — the base of a SplitMix64 stream family — and trajectory `i` then

@@ -125,13 +125,6 @@ TEST(DeviceFor, CheckedSurfacesRingFallback) {
   EXPECT_EQ(device_for(9).name, "ring9");
 }
 
-TEST(DeviceFor, StrictRefusesToDegrade) {
-  EXPECT_EQ(device_for_strict(3).name, "fake_valencia");
-  EXPECT_EQ(device_for_strict(5).name, "fake_valencia");
-  EXPECT_THROW(device_for_strict(6), InvalidArgument);
-  EXPECT_THROW(device_for_strict(12), InvalidArgument);
-}
-
 TEST_P(CompileBenchmark, EquivalentOnExperimentDevice) {
   const auto& b = revlib::get_benchmark(GetParam());
   if (b.circuit.num_qubits() > 7) {

@@ -544,36 +544,5 @@ TEST(ServiceDeterminism, SecondPassServedFromCacheIdentically) {
   }
 }
 
-TEST(ServiceDeterminism, MatchesLegacyRunFlowBatch) {
-  // The compatibility wrapper and the facade must agree bit for bit: same
-  // seed derivation, same per-job results.
-  auto jobs = [] {
-    return std::vector<lock::FlowJob>{benchmark_job("4mod5"),
-                                      benchmark_job("4gt13")};
-  };
-  auto legacy = lock::run_flow_batch(jobs(), 77, 2);
-
-  ServiceConfig config;
-  config.num_threads = 2;
-  config.base_seed = 77;
-  Service svc(config);
-  svc.submit_all(jobs());
-  auto outcomes = svc.wait_all();
-
-  ASSERT_EQ(legacy.items.size(), outcomes.size());
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    ASSERT_TRUE(legacy.items[i].ok);
-    ASSERT_EQ(outcomes[i].state, JobState::kDone);
-    EXPECT_EQ(legacy.items[i].result.tvd_obfuscated,
-              outcomes[i].result.tvd_obfuscated);
-    EXPECT_EQ(legacy.items[i].result.tvd_restored,
-              outcomes[i].result.tvd_restored);
-    EXPECT_EQ(legacy.items[i].result.accuracy_restored,
-              outcomes[i].result.accuracy_restored);
-    EXPECT_EQ(legacy.items[i].result.gates_obfuscated,
-              outcomes[i].result.gates_obfuscated);
-  }
-}
-
 }  // namespace
 }  // namespace tetris::service
