@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   table.print_header();
 
   for (const auto& w : workloads) {
-    auto target = compiler::device_for(w.circuit.num_qubits());
+    auto target = compiler::device_for(w.circuit.num_qubits()).target;
     lock::FlowConfig cfg;
     cfg.shots = args.shots;
     cfg.insertion.alphabet = w.alphabet;

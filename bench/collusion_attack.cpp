@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
 
     // Countermeasure: release *compiled* splits — the lowered R fragments no
     // longer cancel gate-for-gate, so the leakage channel closes.
-    auto target = compiler::device_for(b.circuit.num_qubits());
+    auto target = compiler::device_for(b.circuit.num_qubits()).target;
     compiler::CompileOptions comp_options(target);
     compiler::Compiler comp(comp_options);
     auto c1 = comp.compile(pair.first.circuit);

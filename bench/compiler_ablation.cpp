@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   table.print_header();
 
   for (const auto& b : revlib::table1_benchmarks()) {
-    auto target = compiler::device_for(b.circuit.num_qubits());
+    auto target = compiler::device_for(b.circuit.num_qubits()).target;
 
     compiler::CompileOptions o0(target);
     o0.run_optimizer = false;

@@ -125,7 +125,7 @@ BENCHMARK(BM_ParallelForOverhead)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_NoisySampling(benchmark::State& state) {
   const auto& b = revlib::get_benchmark("rd53");
-  auto target = compiler::device_for(b.circuit.num_qubits());
+  auto target = compiler::device_for(b.circuit.num_qubits()).target;
   compiler::Compiler comp(
       {target, compiler::LayoutStrategy::GreedyDegree, true, std::nullopt});
   auto compiled = comp.compile(b.circuit);
@@ -143,7 +143,7 @@ BENCHMARK(BM_NoisySampling)->Arg(100)->Arg(1000);
 void BM_CompileBenchmark(benchmark::State& state) {
   const auto& all = revlib::table1_benchmarks();
   const auto& b = all[static_cast<std::size_t>(state.range(0))];
-  auto target = compiler::device_for(b.circuit.num_qubits());
+  auto target = compiler::device_for(b.circuit.num_qubits()).target;
   compiler::CompileOptions opts{target, compiler::LayoutStrategy::GreedyDegree,
                                 true, std::nullopt};
   for (auto _ : state) {
@@ -172,7 +172,7 @@ BENCHMARK(BM_ObfuscateAndSplit)->DenseRange(0, 7);
 
 void BM_FullFlow(benchmark::State& state) {
   const auto& b = revlib::get_benchmark("4mod5");
-  auto target = compiler::device_for(b.circuit.num_qubits());
+  auto target = compiler::device_for(b.circuit.num_qubits()).target;
   lock::FlowConfig cfg;
   cfg.shots = 200;
   Rng rng(3);

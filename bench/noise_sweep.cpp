@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   for (const auto& name : {"4mod5", "rd53", "rd84"}) {
     const auto& b = revlib::get_benchmark(name);
     for (double scale : scales) {
-      auto target = compiler::device_for(b.circuit.num_qubits());
+      auto target = compiler::device_for(b.circuit.num_qubits()).target;
       target.noise = target.noise.scaled(scale);
       lock::FlowConfig cfg;
       cfg.shots = args.shots;

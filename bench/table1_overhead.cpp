@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
 
   Rng master(args.seed);
   for (const auto& b : revlib::table1_benchmarks()) {
-    auto target = compiler::device_for(b.circuit.num_qubits());
+    auto target = compiler::device_for(b.circuit.num_qubits()).target;
     lock::FlowConfig cfg;
     cfg.shots = args.shots;
 

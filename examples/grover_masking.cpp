@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
   // Full split-compile flow on a noisy device.
   lock::InterlockSplitter splitter;
   auto pair = splitter.split(obf, rng);
-  auto target = compiler::device_for(n);
+  auto target = compiler::device_for(n).target;
   compiler::CompileOptions first(target);
   compiler::CompileOptions second(target);
   second.layout = compiler::LayoutStrategy::Trivial;

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
             << " qubits, " << b.circuit.gate_count() << " gates, depth "
             << b.circuit.depth() << "\n";
 
-  auto target = compiler::device_for(b.circuit.num_qubits());
+  auto target = compiler::device_for(b.circuit.num_qubits()).target;
   std::cout << "[designer] target device: " << target.name << " ("
             << target.num_qubits() << " qubits, noise model '"
             << target.noise.name << "')\n\n";

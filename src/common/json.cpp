@@ -1,10 +1,10 @@
 #include "common/json.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <iomanip>
 #include <limits>
 #include <locale>
 #include <sstream>
@@ -40,20 +40,27 @@ std::string escape(std::string_view s) {
 
 std::string format_double(double v) {
   if (!std::isfinite(v)) return "null";
-  // Shortest representation that round-trips: try increasing precision.
-  // Streams imbued with the classic locale keep '.' as the decimal
-  // separator whatever LC_NUMERIC the host application set — printf-family
-  // %g would emit ',' under e.g. de_DE and produce invalid JSON.
+  // Shortest %g text that round-trips, locale-independent (printf-family %g
+  // would emit ',' under e.g. de_DE and produce invalid JSON). The search
+  // starts at the digit count of the shortest scientific form; %g at that
+  // precision misses only next to a power of two, where the rounding
+  // interval is lopsided.
+  char buf[32];
+  char* end =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::scientific)
+          .ptr;
+  int precision = 0;
+  for (const char* c = buf; c != end && *c != 'e'; ++c) {
+    if (*c >= '0' && *c <= '9') ++precision;
+  }
   std::string s;
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::ostringstream out;
-    out.imbue(std::locale::classic());
-    out << std::setprecision(precision) << v;
-    s = out.str();
-    std::istringstream in(s);
-    in.imbue(std::locale::classic());
+  for (; precision <= 17; ++precision) {
+    end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                        precision)
+              .ptr;
     double parsed = 0.0;
-    in >> parsed;
+    std::from_chars(buf, end, parsed);
+    s.assign(buf, end);
     if (parsed == v) break;
   }
   // "1e+05" and bare integers are valid JSON numbers, but bare integers lose
@@ -520,9 +527,9 @@ class Parser {
       }
     }
     if (!number.integral) {
-      // Classic-locale stream, mirroring format_double: '.' stays the
-      // decimal separator whatever LC_NUMERIC is, and values overflowing a
-      // double set failbit instead of silently saturating.
+      // Classic-locale stream: '.' stays the decimal separator whatever
+      // LC_NUMERIC is, and values overflowing a double set failbit instead
+      // of silently saturating.
       std::istringstream in(token);
       in.imbue(std::locale::classic());
       double parsed = 0.0;

@@ -35,7 +35,7 @@ Target ideal_full_device(int n) {
                 sim::NoiseModel::ideal()};
 }
 
-DeviceSelection device_for_checked(int n) {
+DeviceSelection device_for(int n) {
   if (n <= 5) return DeviceSelection{fake_valencia(), false, ""};
   // Ring keeps routing distances ~half of a line's, which is closer to the
   // heavy-hex connectivity of the IBM devices the paper targets — but it is
@@ -51,7 +51,5 @@ DeviceSelection device_for_checked(int n) {
   sel.target = std::move(ring);
   return sel;
 }
-
-Target device_for(int n) { return device_for_checked(n).target; }
 
 }  // namespace tetris::compiler

@@ -45,8 +45,8 @@ Target grid_device(int rows, int cols);
 /// All-to-all device with no noise (for functional checks).
 Target ideal_full_device(int n);
 
-/// What device_for_checked picked, and whether it had to fall back past the
-/// preset band.
+/// What device_for picked, and whether it had to fall back past the preset
+/// band.
 struct DeviceSelection {
   Target target;
   /// True when no calibrated preset fits `n` and a generated ring topology
@@ -59,15 +59,11 @@ struct DeviceSelection {
   std::string note;
 };
 
-/// Smallest preset that fits `n` logical qubits: fake_valencia for n <= 5.
-/// Past the preset band there is no calibrated snapshot, so a ring device of
-/// exactly n qubits is generated and flagged as a fallback.
-DeviceSelection device_for_checked(int n);
-
-/// The selection rule the experiments use: `device_for_checked(n).target`.
-/// Kept for callers that accept the silent ring fallback; new code should
-/// prefer `device_for_checked`, which reports the fallback so the caller can
-/// surface the warning.
-Target device_for(int n);
+/// The selection rule the experiments use: the smallest preset that fits `n`
+/// logical qubits (fake_valencia for n <= 5). Past the preset band there is
+/// no calibrated snapshot, so a ring device of exactly n qubits is generated
+/// and flagged as a fallback. Callers that need only the device take
+/// `device_for(n).target`; the rest surface the note.
+DeviceSelection device_for(int n);
 
 }  // namespace tetris::compiler

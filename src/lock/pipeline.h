@@ -93,16 +93,16 @@ struct FlowJob {
   compiler::Target target;
   FlowConfig config;
   /// Setup caveats attached at job-construction time (e.g. the
-  /// device_for_checked ring-topology fallback past the preset band). The
+  /// device_for ring-topology fallback past the preset band). The
   /// service copies them into JobOutcome::warnings so batch JSON surfaces
   /// them; an empty vector adds nothing to the serialized schema.
   std::vector<std::string> warnings;
 };
 
-/// Convenience: a job for `circuit` on the device `device_for_checked`
-/// picks, with all qubits measured when `measured` is empty. When the
-/// selection falls back past the preset band, the note lands in
-/// `FlowJob::warnings` instead of being dropped.
+/// Convenience: a job for `circuit` on the device `device_for` picks, with
+/// all qubits measured when `measured` is empty. When the selection falls
+/// back past the preset band, the note lands in `FlowJob::warnings` instead
+/// of being dropped.
 FlowJob make_flow_job(std::string name, qir::Circuit circuit,
                       std::vector<int> measured = {}, FlowConfig config = {});
 

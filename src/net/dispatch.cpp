@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/error.h"
-#include "obs/registry.h"
 #include "common/hash.h"
 #include "common/json.h"
 #include "qir/qasm.h"
@@ -15,26 +14,10 @@
 
 namespace tetris::net {
 
+using http::error_response;
+using http::json_response;
+
 namespace {
-
-http::Response json_response(int status, const std::string& body) {
-  http::Response res;
-  res.status = status;
-  res.body = body;
-  return res;
-}
-
-http::Response error_response(int status, const std::string& code,
-                              const std::string& message) {
-  json::Writer w;
-  w.begin_object();
-  w.key("error").begin_object();
-  w.key("code").value(code);
-  w.key("message").value(message);
-  w.end_object();
-  w.end_object();
-  return json_response(status, w.str());
-}
 
 /// Proxied responses are rebuilt from scratch (status + content type + body
 /// only): the upstream's parsed header list still carries its own
@@ -100,9 +83,22 @@ Dispatcher::Dispatcher(DispatcherConfig config)
   TETRIS_REQUIRE(!config_.nodes.empty(),
                  "net: dispatcher needs at least one --node URL");
   for (const std::string& url : config_.nodes) {
-    nodes_.push_back(
-        std::make_unique<Node>(url, config_.upstream_timeout_ms));
+    auto node = std::make_unique<Node>(url, config_.upstream_timeout_ms);
+    const obs::Labels labels = {{"node", url}};
+    node->up = &registry_.gauge(
+        "tetris_dispatch_node_up",
+        "1 when the node answered the last status or metrics fan-out.",
+        labels);
+    node->jobs_routed = &registry_.counter(
+        "tetris_dispatch_jobs_routed_total",
+        "Jobs sharded to each node by the consistent-hash ring.", labels);
+    node->upstream_failures = &registry_.counter(
+        "tetris_dispatch_upstream_failures_total",
+        "Upstream legs that exhausted their retries per node.", labels);
+    nodes_.push_back(std::move(node));
   }
+  requests_total_ = &registry_.counter("tetris_dispatch_requests_total",
+                                       "Downstream requests handled.");
   if (config_.handler_threads > 0) {
     private_pool_ =
         std::make_unique<runtime::ThreadPool>(config_.handler_threads);
@@ -119,7 +115,8 @@ Dispatcher::Dispatcher(DispatcherConfig config)
   rc.handler_pool = private_pool_.get();
   reactor_ = std::make_unique<Reactor>(
       std::move(rc),
-      [this](const http::Request& request) { return handle(request); });
+      [this](const http::Request& request) { return handle(request); },
+      registry_, "tetris_dispatch");
 }
 
 Dispatcher::~Dispatcher() { stop(); }
@@ -134,22 +131,6 @@ std::string Dispatcher::base_url() const {
   return "http://" + config_.host + ":" + std::to_string(port());
 }
 
-ReactorCounters Dispatcher::counters() const { return reactor_->counters(); }
-
-std::vector<DispatcherNodeCounters> Dispatcher::node_counters() const {
-  std::vector<DispatcherNodeCounters> out;
-  out.reserve(nodes_.size());
-  for (const auto& node : nodes_) {
-    std::lock_guard<std::mutex> lock(node->mutex);
-    DispatcherNodeCounters c;
-    c.url = node->url;
-    c.jobs_routed = node->jobs_routed;
-    c.upstream_failures = node->upstream_failures;
-    out.push_back(std::move(c));
-  }
-  return out;
-}
-
 http::Response Dispatcher::upstream(Node& node, const std::string& method,
                                     const std::string& target,
                                     const std::string& body,
@@ -160,7 +141,7 @@ http::Response Dispatcher::upstream(Node& node, const std::string& method,
     return node.client.request(method, target, body, content_type);
   } catch (const std::exception&) {
     if (!retry) {
-      ++node.upstream_failures;
+      node.upstream_failures->inc();
       throw;
     }
   }
@@ -171,7 +152,7 @@ http::Response Dispatcher::upstream(Node& node, const std::string& method,
     node.client.disconnect();
     return node.client.request(method, target, body, content_type);
   } catch (const std::exception&) {
-    ++node.upstream_failures;
+    node.upstream_failures->inc();
     throw;
   }
 }
@@ -238,10 +219,7 @@ http::Response Dispatcher::handle_submit(const http::Request& request) {
     id = next_id_++;
     jobs_.emplace(id, JobRef{index, local_id});
   }
-  {
-    std::lock_guard<std::mutex> lock(node.mutex);
-    ++node.jobs_routed;
-  }
+  node.jobs_routed->inc();
 
   json::Writer w;
   w.begin_object();
@@ -316,7 +294,6 @@ http::Response Dispatcher::handle_status() {
   std::string out = "{\n  \"schema\": \"";
   out += service::kDispatchStatusSchema;
   out += "\",\n  \"nodes\": [";
-  std::uint64_t jobs_routed_total = 0;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     Node& node = *nodes_[i];
     out += i == 0 ? "\n" : ",\n";
@@ -332,15 +309,9 @@ http::Response Dispatcher::handle_status() {
     } catch (const std::exception& e) {
       error = e.what();
     }
-    std::uint64_t routed = 0;
-    {
-      std::lock_guard<std::mutex> lock(node.mutex);
-      routed = node.jobs_routed;
-    }
-    jobs_routed_total += routed;
+    node.up->set(reachable ? 1.0 : 0.0);
     out += "\"reachable\": ";
     out += reachable ? "true" : "false";
-    out += ", \"jobs_routed\": " + std::to_string(routed);
     if (reachable) {
       out += ", \"status\": " + res.body;
     } else {
@@ -348,14 +319,10 @@ http::Response Dispatcher::handle_status() {
     }
     out += "}";
   }
-  out += "\n  ],\n  \"dispatcher\": {";
-  const ReactorCounters c = counters();
-  out += "\"nodes\": " + std::to_string(nodes_.size());
-  out += ", \"jobs_routed\": " + std::to_string(jobs_routed_total);
-  out += ", \"connections\": " + std::to_string(c.connections);
-  out += ", \"requests\": " + std::to_string(c.requests);
-  out += ", \"keepalive_reuses\": " + std::to_string(c.keepalive_reuses);
-  out += "}\n}";
+  // The dispatcher's own numbers: the same registry its /metrics renders.
+  json::Writer metrics(0);
+  obs::write_json(metrics, registry_.collect());
+  out += "\n  ],\n  \"metrics\": " + metrics.str() + "\n}";
   return json_response(200, out);
 }
 
@@ -371,20 +338,6 @@ http::Response Dispatcher::handle_metrics() {
   std::map<std::string, std::size_t> family_owner;    // node that named it
   std::map<std::string, std::string> family_samples;  // all nodes' samples
 
-  auto escape_label = [](const std::string& raw) {
-    std::string out;
-    for (char c : raw) {
-      if (c == '\\' || c == '"') out += '\\';
-      if (c == '\n') {
-        out += "\\n";
-        continue;
-      }
-      out += c;
-    }
-    return out;
-  };
-
-  std::vector<double> node_up(nodes_.size(), 0.0);
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     Node& node = *nodes_[i];
     http::Response res;
@@ -392,11 +345,12 @@ http::Response Dispatcher::handle_metrics() {
       res = upstream(node, "GET", "/metrics", "", "application/json",
                      /*retry=*/true);
     } catch (const std::exception&) {
-      continue;  // liveness lands in tetris_dispatch_node_up below
+      res.status = 0;
     }
+    node.up->set(res.status == 200 ? 1.0 : 0.0);
     if (res.status != 200) continue;
-    node_up[i] = 1.0;
-    const std::string label = "node=\"" + escape_label(node.url) + "\"";
+    const std::string label =
+        "node=\"" + obs::escape_label_value(node.url) + "\"";
 
     std::string current;  // family of the samples being read
     std::size_t pos = 0;
@@ -448,55 +402,9 @@ http::Response Dispatcher::handle_metrics() {
     out += family_samples[name];
   }
 
-  // The dispatcher's own series, disjoint names so the merge stays trivial.
-  std::vector<obs::Family> own;
-  auto add = [&own](const char* name, const char* help, obs::Kind kind) {
-    obs::Family f;
-    f.name = name;
-    f.help = help;
-    f.kind = kind;
-    own.push_back(std::move(f));
-    return own.size() - 1;
-  };
-  const std::size_t up_f = add("tetris_dispatch_node_up",
-                               "1 when the node answered the last scrape.",
-                               obs::Kind::kGauge);
-  const std::size_t routed_f =
-      add("tetris_dispatch_jobs_routed_total",
-          "Jobs sharded to each node by the consistent-hash ring.",
-          obs::Kind::kCounter);
-  const std::size_t failures_f =
-      add("tetris_dispatch_upstream_failures_total",
-          "Upstream legs that exhausted their retries per node.",
-          obs::Kind::kCounter);
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    Node& node = *nodes_[i];
-    std::uint64_t routed = 0;
-    std::uint64_t failures = 0;
-    {
-      std::lock_guard<std::mutex> lock(node.mutex);
-      routed = node.jobs_routed;
-      failures = node.upstream_failures;
-    }
-    const obs::Labels labels = {{"node", node.url}};
-    own[up_f].samples.push_back(obs::Sample{labels, node_up[i]});
-    own[routed_f].samples.push_back(
-        obs::Sample{labels, static_cast<double>(routed)});
-    own[failures_f].samples.push_back(
-        obs::Sample{labels, static_cast<double>(failures)});
-  }
-  const ReactorCounters c = counters();
-  const std::size_t conns_f = add("tetris_dispatch_connections_total",
-                                  "Downstream sockets accepted.",
-                                  obs::Kind::kCounter);
-  own[conns_f].samples.push_back(
-      obs::Sample{{}, static_cast<double>(c.connections)});
-  const std::size_t reqs_f = add("tetris_dispatch_requests_total",
-                                 "Downstream requests handled.",
-                                 obs::Kind::kCounter);
-  own[reqs_f].samples.push_back(
-      obs::Sample{{}, static_cast<double>(c.requests)});
-  out += obs::render_prometheus(own);
+  // The dispatcher's own registry: tetris_dispatch_* names, disjoint from
+  // every node family, so appending keeps each family contiguous.
+  out += obs::render_prometheus(registry_.collect());
 
   http::Response res;
   res.status = 200;
@@ -506,6 +414,7 @@ http::Response Dispatcher::handle_metrics() {
 }
 
 http::Response Dispatcher::handle(const http::Request& request) {
+  requests_total_->inc();
   try {
     const std::string& path = request.path;
     if (path == "/v1/jobs") {

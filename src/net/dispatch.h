@@ -11,6 +11,7 @@
 #include "net/client.h"
 #include "net/http.h"
 #include "net/reactor.h"
+#include "obs/registry.h"
 
 namespace tetris::net {
 
@@ -55,13 +56,6 @@ struct DispatcherConfig {
   std::size_t hash_replicas = 64;  ///< virtual points per node on the ring
 };
 
-/// Per-node dispatch totals (diagnostics + affinity tests).
-struct DispatcherNodeCounters {
-  std::string url;
-  std::uint64_t jobs_routed = 0;       ///< POST /v1/jobs sharded here
-  std::uint64_t upstream_failures = 0; ///< legs answered 502 downstream
-};
-
 /// HTTP front-end that scales the single-node REST server horizontally:
 ///
 ///   POST   /v1/jobs            sharded by consistent hash on the submitted
@@ -80,17 +74,17 @@ struct DispatcherNodeCounters {
 ///                              502 {"error":{"code":"upstream_unavailable"}}.
 ///   GET    /v1/status          fan-out aggregation: every node's status
 ///                              document under "nodes" (unreachable nodes
-///                              are marked, never thrown on) plus dispatcher
-///                              totals; schema
-///                              service::kDispatchStatusSchema.
+///                              are marked, never thrown on) plus the
+///                              dispatcher's own registry as "metrics";
+///                              schema service::kDispatchStatusSchema.
 ///   GET    /metrics            fan-out aggregation of every node's
 ///                              Prometheus exposition: each node's series
 ///                              re-exported with an injected node="<url>"
 ///                              label (HELP/TYPE deduplicated, families
 ///                              regrouped), plus the dispatcher's own
-///                              tetris_dispatch_* series — node liveness,
-///                              per-node routing counters, downstream
-///                              traffic totals.
+///                              registry — tetris_dispatch_* node
+///                              liveness, per-node routing counters,
+///                              downstream traffic.
 ///
 /// Note on ids: proxied outcome documents carry the node-local job id in
 /// their "id" field (bodies are passed through byte-for-byte); the id the
@@ -113,9 +107,13 @@ class Dispatcher {
   int port() const;
   std::string base_url() const;
   const DispatcherConfig& config() const { return config_; }
-  ReactorCounters counters() const;
-  std::vector<DispatcherNodeCounters> node_counters() const;
   const HashRing& ring() const { return ring_; }
+
+  /// The dispatcher's own registry: per-node `tetris_dispatch_node_up`,
+  /// `_jobs_routed_total`, `_upstream_failures_total`, plus handled requests
+  /// and the reactor's traffic counters.
+  obs::Registry& telemetry() { return registry_; }
+  const obs::Registry& telemetry() const { return registry_; }
 
   /// Routes one parsed request — the pure core, unit-testable without
   /// sockets (upstream legs still talk to real nodes).
@@ -127,8 +125,10 @@ class Dispatcher {
     std::string url;
     std::mutex mutex;  ///< serializes the persistent upstream connection
     Client client;
-    std::uint64_t jobs_routed = 0;
-    std::uint64_t upstream_failures = 0;
+    // In the dispatcher's registry, labelled node=<url>.
+    obs::Counter* jobs_routed = nullptr;
+    obs::Counter* upstream_failures = nullptr;
+    obs::Gauge* up = nullptr;
   };
   struct JobRef {
     std::size_t node = 0;
@@ -157,6 +157,9 @@ class Dispatcher {
   HashRing ring_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::unique_ptr<runtime::ThreadPool> private_pool_;
+  /// Declared before the reactor, which counts into it.
+  obs::Registry registry_;
+  obs::Counter* requests_total_ = nullptr;
   std::unique_ptr<Reactor> reactor_;
 
   mutable std::mutex jobs_mutex_;

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <utility>
+
+#include "common/json.h"
 
 namespace tetris::net::http {
 
@@ -88,6 +91,25 @@ bool Request::keep_alive() const {
     if (value == "keep-alive") return true;
   }
   return version != "HTTP/1.0";  // HTTP/1.1 persists by default
+}
+
+Response json_response(int status, std::string body) {
+  Response res;
+  res.status = status;
+  res.body = std::move(body);
+  return res;
+}
+
+Response error_response(int status, const std::string& code,
+                        const std::string& message) {
+  json::Writer w;
+  w.begin_object();
+  w.key("error").begin_object();
+  w.key("code").value(code);
+  w.key("message").value(message);
+  w.end_object();
+  w.end_object();
+  return json_response(status, w.str());
 }
 
 const char* status_reason(int status) {

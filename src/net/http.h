@@ -70,6 +70,14 @@ struct Response {
   const std::string* header(std::string_view name) const;
 };
 
+/// A JSON response (Response's default content type) with `body`.
+Response json_response(int status, std::string body);
+
+/// The structured error every route and protocol reject answers:
+/// {"error": {"code", "message"}}.
+Response error_response(int status, const std::string& code,
+                        const std::string& message);
+
 /// Canonical reason phrase ("OK", "Not Found", ...; "Unknown" otherwise).
 const char* status_reason(int status);
 

@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "common/error.h"
-#include "common/json.h"
 #include "net/socket.h"
+#include "obs/registry.h"
 #include "runtime/thread_pool.h"
 
 namespace tetris::net {
@@ -26,25 +26,7 @@ namespace tetris::net {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-std::string error_body(const std::string& code, const std::string& message) {
-  json::Writer w;
-  w.begin_object();
-  w.key("error").begin_object();
-  w.key("code").value(code);
-  w.key("message").value(message);
-  w.end_object();
-  w.end_object();
-  return w.str();
-}
-
-http::Response error_response(int status, const std::string& code,
-                              const std::string& message) {
-  http::Response res;
-  res.status = status;
-  res.body = error_body(code, message);
-  return res;
-}
+using http::error_response;
 
 /// One accepted socket plus everything the loop tracks about it.
 struct Connection {
@@ -84,9 +66,25 @@ struct Completion {
 }  // namespace
 
 struct Reactor::Impl {
-  Impl(const ReactorConfig& config, Handler handler)
+  Impl(const ReactorConfig& config, Handler handler, obs::Registry& registry,
+       const std::string& prefix)
       : listener(config.host, config.port, config.backlog),
-        handler(std::move(handler)) {
+        handler(std::move(handler)),
+        connections_total(registry.counter(prefix + "_connections_total",
+                                           "Sockets accepted.")),
+        keepalive_reuses(registry.counter(
+            prefix + "_keepalive_reuses_total",
+            "Requests beyond the first on their connection.")),
+        idle_evictions(registry.counter(
+            prefix + "_idle_evictions_total",
+            "Connections dropped by the idle timeout or request deadline.")) {
+    static constexpr const char* kClasses[3] = {"2xx", "4xx", "5xx"};
+    for (std::size_t c = 0; c < 3; ++c) {
+      responses[c] = &registry.counter(
+          prefix + "_responses_total",
+          "Responses queued, by status class (protocol rejects included).",
+          {{"class", kClasses[c]}});
+    }
     // A socketpair, not a pipe: the wake fds travel through Socket, whose
     // non-blocking I/O uses send/recv (ENOTSOCK on a pipe fd).
     int fds[2];
@@ -111,8 +109,11 @@ struct Reactor::Impl {
   std::mutex completion_mutex;
   std::deque<Completion> completions;
 
-  mutable std::mutex counter_mutex;
-  ReactorCounters counters;
+  // Traffic counters, owned by the registry; bumped on the loop thread.
+  obs::Counter& connections_total;
+  obs::Counter& keepalive_reuses;
+  obs::Counter& idle_evictions;
+  obs::Counter* responses[3] = {};  // 2xx, 4xx, 5xx
 
   std::unordered_map<std::uint64_t, Connection> connections;
   std::uint64_t next_conn_id = 1;
@@ -124,8 +125,10 @@ struct Reactor::Impl {
   }
 };
 
-Reactor::Reactor(ReactorConfig config, Handler handler)
-    : impl_(std::make_unique<Impl>(config, std::move(handler))),
+Reactor::Reactor(ReactorConfig config, Handler handler,
+                 obs::Registry& registry, const std::string& family_prefix)
+    : impl_(std::make_unique<Impl>(config, std::move(handler), registry,
+                                   family_prefix)),
       config_(std::move(config)) {
   TETRIS_REQUIRE(config_.idle_timeout_ms > 0,
                  "net: idle_timeout_ms must be positive");
@@ -137,16 +140,11 @@ Reactor::~Reactor() { stop(); }
 
 int Reactor::port() const { return impl_->listener.port(); }
 
-ReactorCounters Reactor::counters() const {
-  std::lock_guard<std::mutex> lock(impl_->counter_mutex);
-  return impl_->counters;
-}
-
 namespace {
 
 /// Everything the loop does per iteration lives here so the state threading
 /// stays explicit. `Loop` is constructed on the loop thread and never leaves
-/// it; only the completion queue, counters, and flags are shared.
+/// it; only the completion queue and flags are shared.
 class Loop {
  public:
   Loop(Reactor::Impl& impl, const ReactorConfig& config)
@@ -174,8 +172,6 @@ class Loop {
   std::vector<pollfd> pollfds_;
   std::vector<std::uint64_t> poll_ids_;  ///< conn id per pollfd (0 = special)
   std::vector<std::uint64_t> doomed_;
-
-  ReactorCounters& counters() { return impl_.counters; }
 
   bool drain_pending() {
     if (!impl_.completions.empty()) return true;
@@ -297,8 +293,7 @@ class Loop {
           impl_.connections.emplace(id, Connection(id, std::move(s), limits));
       TETRIS_REQUIRE(inserted, "net: duplicate connection id");
       it->second.last_activity = Clock::now();
-      std::lock_guard<std::mutex> lock(impl_.counter_mutex);
-      ++counters().connections;
+      impl_.connections_total.inc();
     }
   }
 
@@ -372,11 +367,7 @@ class Loop {
     const bool cap_hit = config_.max_requests_per_connection != 0 &&
                          served_after >= config_.max_requests_per_connection;
     const bool keep = request.keep_alive() && !cap_hit && !conn.peer_closed;
-    {
-      std::lock_guard<std::mutex> lock(impl_.counter_mutex);
-      ++counters().requests;
-      if (conn.requests_served > 0) ++counters().keepalive_reuses;
-    }
+    if (conn.requests_served > 0) impl_.keepalive_reuses.inc();
     if (config_.inline_handlers) {
       // Handlers declared quick and non-blocking run right here on the loop
       // thread — no pool hop, no wake round trip. advance()'s loop keeps
@@ -447,16 +438,9 @@ class Loop {
                                         conn.request_start)
               .count());
     }
-    {
-      std::lock_guard<std::mutex> lock(impl_.counter_mutex);
-      if (response.status >= 500) {
-        ++counters().responses_5xx;
-      } else if (response.status >= 400) {
-        ++counters().responses_4xx;
-      } else {
-        ++counters().responses_2xx;
-      }
-    }
+    const std::size_t cls =
+        response.status >= 500 ? 2 : (response.status >= 400 ? 1 : 0);
+    impl_.responses[cls]->inc();
   }
 
   /// Writes as much of the out-buffer as the socket accepts. Returns false
@@ -532,8 +516,7 @@ class Loop {
                                       "timed out reading the request"),
                        /*keep_alive=*/false);
         if (!write_some(conn)) doomed_.push_back(id);
-        std::lock_guard<std::mutex> lock(impl_.counter_mutex);
-        ++counters().idle_evictions;
+        impl_.idle_evictions.inc();
         continue;
       }
       if (!conn.handler_inflight && !conn.request_in_progress &&
@@ -542,8 +525,7 @@ class Loop {
         // Idle keep-alive connection (or never sent a byte): no response
         // owed; just reclaim the slot.
         doomed_.push_back(id);
-        std::lock_guard<std::mutex> lock(impl_.counter_mutex);
-        ++counters().idle_evictions;
+        impl_.idle_evictions.inc();
       }
     }
     reap_doomed();

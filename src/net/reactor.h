@@ -7,6 +7,7 @@
 #include <string>
 
 #include "net/http.h"
+#include "obs/registry.h"
 
 namespace tetris::runtime {
 class ThreadPool;
@@ -64,17 +65,6 @@ struct ReactorConfig {
   bool inline_handlers = false;
 };
 
-/// Monotonic totals since start; all updated on the loop thread.
-struct ReactorCounters {
-  std::uint64_t connections = 0;  ///< sockets accepted
-  std::uint64_t requests = 0;     ///< complete requests handed to the handler
-  std::uint64_t responses_2xx = 0;
-  std::uint64_t responses_4xx = 0;  ///< includes protocol rejects + 408s
-  std::uint64_t responses_5xx = 0;
-  std::uint64_t keepalive_reuses = 0;  ///< requests beyond the first per conn
-  std::uint64_t idle_evictions = 0;    ///< connections dropped by timeout
-};
-
 /// poll(2)-based readiness event loop: one thread owns the listener, a wake
 /// pipe, and every connection socket (all non-blocking). Per connection it
 /// keeps an incremental http::RequestParser, an out-buffer, and timing state;
@@ -91,12 +81,19 @@ struct ReactorCounters {
 /// The Reactor is route-agnostic — net::Server and net::Dispatcher are both
 /// thin handler wrappers over it. The handler must be thread-safe; protocol
 /// errors never reach it (the reactor answers those itself and closes).
+///
+/// Traffic counters live in the owner's registry under the family prefix it
+/// passes (`tetris_http`, `tetris_dispatch`): `<prefix>_connections_total`,
+/// `_keepalive_reuses_total`, `_idle_evictions_total` (idle timeout or 408
+/// deadline) and `_responses_total{class}` (protocol rejects included).
 class Reactor {
  public:
   using Handler = std::function<http::Response(const http::Request&)>;
 
-  /// Binds the listener immediately (so port() is valid before start()).
-  Reactor(ReactorConfig config, Handler handler);
+  /// Binds the listener immediately (so port() is valid before start());
+  /// `registry` must outlive the reactor.
+  Reactor(ReactorConfig config, Handler handler, obs::Registry& registry,
+          const std::string& family_prefix);
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
@@ -109,7 +106,6 @@ class Reactor {
 
   int port() const;
   const ReactorConfig& config() const { return config_; }
-  ReactorCounters counters() const;
 
   struct Impl;  ///< loop internals (reactor.cpp); public for the loop class
 

@@ -16,6 +16,9 @@
 
 namespace tetris::net {
 
+using http::error_response;
+using http::json_response;
+
 namespace {
 
 /// HTTP status for a service-layer failure class.
@@ -30,25 +33,6 @@ int http_status_for(service::StatusCode code) {
     case service::StatusCode::kInternalError: return 500;
   }
   return 500;
-}
-
-http::Response json_response(int status, const std::string& body) {
-  http::Response res;
-  res.status = status;
-  res.body = body;
-  return res;
-}
-
-http::Response error_response(int status, const std::string& code,
-                              const std::string& message) {
-  json::Writer w;
-  w.begin_object();
-  w.key("error").begin_object();
-  w.key("code").value(code);
-  w.key("message").value(message);
-  w.end_object();
-  w.end_object();
-  return json_response(status, w.str());
 }
 
 /// Maps the in-flight exception onto an HttpError carrying the service
@@ -187,7 +171,9 @@ Server::Server(service::Service& service, ServerConfig config)
     : service_(service),
       config_(std::move(config)),
       start_steady_(std::chrono::steady_clock::now()),
-      start_wall_(std::chrono::system_clock::now()) {
+      started_unix_(std::chrono::duration_cast<std::chrono::seconds>(
+                        std::chrono::system_clock::now().time_since_epoch())
+                        .count()) {
   if (config_.connection_threads > 0) {
     private_pool_ =
         std::make_unique<runtime::ThreadPool>(config_.connection_threads);
@@ -198,14 +184,14 @@ Server::Server(service::Service& service, ServerConfig config)
                                                               "5xx"};
   for (std::size_t r = 0; r < kRouteCount; ++r) {
     for (std::size_t c = 0; c < kStatusClassCount; ++c) {
-      requests_by_route_[r][c] = &http_registry_.counter(
+      requests_by_route_[r][c] = &registry_.counter(
           "tetris_http_requests_total",
           "Requests handled, by normalized route and status class.",
           {{"route", route_name(static_cast<Route>(r))},
            {"class", kClasses[c]}});
     }
   }
-  request_latency_ = &http_registry_.histogram(
+  obs::Histogram* latency = &registry_.histogram(
       "tetris_http_request_seconds",
       "Request latency from first byte to response queue (reactor clock).",
       obs::latency_buckets());
@@ -223,7 +209,6 @@ Server::Server(service::Service& service, ServerConfig config)
   if (config_.telemetry) {
     // The hook runs on the loop thread; Histogram::observe is a few relaxed
     // atomic ops, well under the loop's per-request budget.
-    obs::Histogram* latency = request_latency_;
     rc.observe_response = [latency](int /*status*/, double seconds) {
       latency->observe(seconds);
     };
@@ -234,14 +219,11 @@ Server::Server(service::Service& service, ServerConfig config)
   rc.inline_handlers = private_pool_ == nullptr;
   reactor_ = std::make_unique<Reactor>(
       std::move(rc),
-      [this](const http::Request& request) { return handle(request); });
+      [this](const http::Request& request) { return handle(request); },
+      registry_, "tetris_http");
 }
 
 Server::~Server() { stop(); }
-
-runtime::ThreadPool& Server::connection_pool() {
-  return private_pool_ ? *private_pool_ : runtime::ThreadPool::global();
-}
 
 void Server::start() { reactor_->start(); }
 
@@ -251,19 +233,6 @@ int Server::port() const { return reactor_->port(); }
 
 std::string Server::base_url() const {
   return "http://" + config_.host + ":" + std::to_string(port());
-}
-
-ServerCounters Server::counters() const {
-  const ReactorCounters rc = reactor_->counters();
-  ServerCounters out;
-  out.connections = rc.connections;
-  out.requests = rc.requests;
-  out.responses_2xx = rc.responses_2xx;
-  out.responses_4xx = rc.responses_4xx;
-  out.responses_5xx = rc.responses_5xx;
-  out.keepalive_reuses = rc.keepalive_reuses;
-  out.idle_evictions = rc.idle_evictions;
-  return out;
 }
 
 http::Response Server::handle(const http::Request& request) {
@@ -541,122 +510,53 @@ http::Response Server::handle_job_delete(std::uint64_t id) {
 }
 
 http::Response Server::handle_status() {
-  const service::CacheStats cache = service_.cache_stats();
-  const ServerCounters server = counters();
-  runtime::ThreadPool& pool = connection_pool();
-
   json::Writer w;
   w.begin_object();
   w.key("schema").value(service::kStatusSchema);
-  w.key("service").begin_object();
-  w.key("jobs_submitted").value(service_.jobs_submitted());
-  w.key("threads").value(service_.threads());
-  w.end_object();
-  // Registered simulation engines (capabilities from the sim registry) plus
-  // this service's terminal-job tallies per engine.
-  const auto backend_jobs = service_.backend_counters();
+  // Start time (wall clock, unix seconds) and uptime (steady clock): the
+  // pair a scraper needs to turn counter deltas into rates.
+  w.key("started_unix").value(started_unix_);
+  w.key("uptime_seconds")
+      .value(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           start_steady_)
+                 .count());
+  // Static capabilities of every registered engine; the per-engine job
+  // tallies are the tetris_jobs_terminal_total samples under "metrics".
   w.key("backends").begin_object();
   for (const sim::BackendInfo& info : sim::registered_backends()) {
     w.key(info.name).begin_object();
     w.key("max_qubits").value(info.caps.max_qubits);
     w.key("clifford_only").value(info.caps.clifford_only);
     w.key("supports_noise").value(info.caps.supports_noise);
-    auto it = backend_jobs.find(info.name);
-    w.key("jobs_done").value(it == backend_jobs.end() ? 0 : it->second.done);
-    w.key("jobs_failed")
-        .value(it == backend_jobs.end() ? 0 : it->second.failed);
     w.end_object();
   }
   w.end_object();
-  w.key("cache").begin_object();
-  w.key("hits").value(cache.hits);
-  w.key("misses").value(cache.misses);
-  w.key("evictions").value(cache.evictions);
-  w.key("entries").value(cache.entries);
-  w.key("capacity").value(cache.capacity);
-  w.end_object();
-  w.key("store").begin_object();
-  if (const service::ArtifactStore* store = service_.artifact_store()) {
-    const service::ArtifactStoreStats stats = store->stats();
-    w.key("enabled").value(true);
-    w.key("dir").value(store->config().dir);
-    w.key("hits").value(stats.hits);
-    w.key("misses").value(stats.misses);
-    w.key("writes").value(stats.writes);
-    w.key("corrupt").value(stats.corrupt);
-    w.key("evictions").value(stats.evictions);
-    w.key("entries").value(stats.entries);
-  } else {
-    w.key("enabled").value(false);
-  }
-  w.end_object();
-  w.key("server").begin_object();
-  w.key("connections").value(server.connections);
-  w.key("requests").value(server.requests);
-  w.key("responses_2xx").value(server.responses_2xx);
-  w.key("responses_4xx").value(server.responses_4xx);
-  w.key("responses_5xx").value(server.responses_5xx);
-  w.key("keepalive_reuses").value(server.keepalive_reuses);
-  w.key("idle_evictions").value(server.idle_evictions);
-  // Start time (wall clock, unix seconds) and uptime (steady clock): the
-  // pair dispatcher aggregation needs to turn per-node requests_total
-  // deltas into rates.
-  w.key("started_unix")
-      .value(static_cast<std::int64_t>(
-          std::chrono::duration_cast<std::chrono::seconds>(
-              start_wall_.time_since_epoch())
-              .count()));
-  w.key("uptime_seconds")
-      .value(std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           start_steady_)
-                 .count());
-  // Monotonic per-route/status-class tallies from the telemetry registry
-  // (all zero when ServerConfig::telemetry is off). Fixed route and class
-  // order so the document layout is stable.
-  w.key("requests_total").begin_object();
-  static constexpr const char* kClasses[kStatusClassCount] = {"2xx", "4xx",
-                                                              "5xx"};
-  for (std::size_t r = 0; r < kRouteCount; ++r) {
-    w.key(route_name(static_cast<Route>(r))).begin_object();
-    for (std::size_t c = 0; c < kStatusClassCount; ++c) {
-      w.key(kClasses[c]).value(requests_by_route_[r][c]->value());
-    }
-    w.end_object();
-  }
-  w.end_object();
-  w.end_object();
-  w.key("connection_pool").begin_object();
-  w.key("threads").value(pool.size());
-  w.key("queued").value(pool.queued());
-  w.end_object();
-  // Full pool telemetry of the pool the SERVICE executes jobs on (the
-  // handler pool above only parses/serializes).
-  const runtime::ThreadPool::Stats job_pool = service_.pool_stats();
-  w.key("job_pool").begin_object();
-  w.key("threads").value(job_pool.threads);
-  w.key("queued").value(job_pool.queued);
-  w.key("active").value(job_pool.active);
-  w.key("tasks_submitted").value(job_pool.submitted);
-  w.key("tasks_completed").value(job_pool.completed);
-  w.end_object();
+  const std::string& store_dir = service_.config().store_dir;
+  w.key("store_dir");
+  store_dir.empty() ? w.null_value() : w.value(store_dir);
+  // Every number below is a /metrics series: the same family list, so the
+  // two views cannot disagree.
+  w.key("metrics");
+  obs::write_json(w, collect());
   w.end_object();
   return json_response(200, w.str());
 }
 
-http::Response Server::handle_metrics() {
-  // One merged exposition: the Service's registry (job stages + the
-  // cache/store/backend/pool collectors) followed by the server's HTTP-layer
-  // series. render_prometheus merges families by name, so the order here
-  // only decides which HELP text wins on a (non-existent) name clash.
+std::vector<obs::Family> Server::collect() const {
   std::vector<obs::Family> families = service_.telemetry().collect();
-  std::vector<obs::Family> http_families = http_registry_.collect();
-  families.insert(families.end(),
-                  std::make_move_iterator(http_families.begin()),
-                  std::make_move_iterator(http_families.end()));
+  std::vector<obs::Family> own = registry_.collect();
+  families.insert(families.end(), std::make_move_iterator(own.begin()),
+                  std::make_move_iterator(own.end()));
+  return families;
+}
+
+http::Response Server::handle_metrics() {
+  // One merged exposition; the family order only decides which HELP text
+  // wins on a (non-existent) name clash.
   http::Response res;
   res.status = 200;
   res.content_type = "text/plain; version=0.0.4; charset=utf-8";
-  res.body = obs::render_prometheus(families);
+  res.body = obs::render_prometheus(collect());
   return res;
 }
 

@@ -42,22 +42,12 @@ struct ServerConfig {
   std::size_t max_body_bytes = std::size_t{1} << 20;
   /// HTTP-layer telemetry: the reactor's request-latency observation and the
   /// per-route request counters recorded by handle(). On by default; off
-  /// compiles the recording out of the request path entirely — the mode
+  /// takes that recording out of the request path — the mode
   /// bench/serve_throughput.cpp compares against to bound telemetry overhead
-  /// (<= 3%). /metrics itself stays routable either way (its HTTP-layer
-  /// series just stop moving).
+  /// (<= 3%). /metrics itself stays routable either way (those series just
+  /// stop moving; the reactor's connection and response counters keep
+  /// counting).
   bool telemetry = true;
-};
-
-/// Monotonic traffic counters, readable while serving (GET /v1/status).
-struct ServerCounters {
-  std::uint64_t connections = 0;  ///< accepted sockets
-  std::uint64_t requests = 0;     ///< complete requests routed to a handler
-  std::uint64_t responses_2xx = 0;
-  std::uint64_t responses_4xx = 0;
-  std::uint64_t responses_5xx = 0;
-  std::uint64_t keepalive_reuses = 0;  ///< requests beyond a conn's first
-  std::uint64_t idle_evictions = 0;    ///< connections dropped by timeout
 };
 
 /// Embedded REST front-end over a service::Service.
@@ -92,13 +82,12 @@ struct ServerCounters {
 ///                          document stays byte-identical with tracing on
 ///   DELETE /v1/jobs/{id}   cancel-if-queued; answers {"id", "cancelled",
 ///                          "state"}
-///   GET    /v1/status      service/cache/store/pool/server counters,
-///                          uptime, and per-route/status-class request
-///                          tallies
+///   GET    /v1/status      start time, uptime, engine capabilities, store
+///                          directory, and every /metrics family as JSON
+///                          (schema service::kStatusSchema)
 ///   GET    /metrics        Prometheus text exposition (format 0.0.4) of
-///                          the Service registry (job stages, cache, store,
-///                          backends, pool) merged with the server's
-///                          HTTP-layer series (docs/OBSERVABILITY.md)
+///                          the Service registry merged with the server's
+///                          own (docs/OBSERVABILITY.md)
 ///
 /// docs/API.md is the full route-by-route reference with request/response
 /// schemas and curl examples.
@@ -147,7 +136,11 @@ class Server {
   int port() const;
   std::string base_url() const;
   const ServerConfig& config() const { return config_; }
-  ServerCounters counters() const;
+
+  /// The server's own registry (requests by route, latency, the reactor's
+  /// traffic counters); both status views merge it with the Service's.
+  obs::Registry& telemetry() { return registry_; }
+  const obs::Registry& telemetry() const { return registry_; }
 
   /// Routes one parsed request to a response — the pure core of the server,
   /// also exercised directly by unit tests (no sockets involved).
@@ -172,8 +165,6 @@ class Server {
   static constexpr std::size_t kStatusClassCount = 3;  // 2xx / 4xx / 5xx
   static const char* route_name(Route route);
 
-  runtime::ThreadPool& connection_pool();
-
   http::Response handle_submit(const http::Request& request);
   http::Response handle_job_get(std::uint64_t id, const http::Request& request);
   http::Response handle_job_artifact(std::uint64_t id);
@@ -182,22 +173,22 @@ class Server {
   http::Response handle_status();
   http::Response handle_metrics();
   http::Response route(const http::Request& request, Route& route_key);
+  /// The Service's families, then the server's: what both views render.
+  std::vector<obs::Family> collect() const;
 
   service::Service& service_;
   ServerConfig config_;
   std::unique_ptr<runtime::ThreadPool> private_pool_;
-  std::unique_ptr<Reactor> reactor_;
 
   /// HTTP-layer telemetry, separate from the Service's registry so neither
-  /// object holds a collector into the other's lifetime; /metrics renders
-  /// the two family lists merged. Instruments are pre-registered in the
-  /// constructor — the request path only touches stable references (one
-  /// relaxed fetch_add per request when telemetry is on).
-  obs::Registry http_registry_;
+  /// object holds a collector into the other's lifetime. Instruments are
+  /// pre-registered in the constructor — the request path only touches
+  /// stable references. Declared before the reactor, which counts into it.
+  obs::Registry registry_;
+  std::unique_ptr<Reactor> reactor_;
   obs::Counter* requests_by_route_[kRouteCount][kStatusClassCount] = {};
-  obs::Histogram* request_latency_ = nullptr;
   std::chrono::steady_clock::time_point start_steady_;
-  std::chrono::system_clock::time_point start_wall_;
+  std::int64_t started_unix_ = 0;  ///< wall-clock start, unix seconds
 };
 
 }  // namespace tetris::net

@@ -13,29 +13,18 @@ namespace tetris::obs {
 
 namespace {
 
-/// Prometheus sample value: integers (all counters, bucket counts) print
-/// without a fractional part; everything else uses the JSON writer's
-/// shortest-round-trip formatting so scrapes are deterministic.
-std::string format_value(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < 9.007199254740992e15) {
-    return std::to_string(static_cast<long long>(v));
-  }
-  return json::format_double(v);
+/// Integral and exactly representable: printed without a fractional part by
+/// both renderers (all counters, bucket counts).
+bool is_exact_integer(double v) {
+  return std::isfinite(v) && v == std::floor(v) &&
+         std::abs(v) < 9.007199254740992e15;
 }
 
-/// Label *values* escape backslash, double-quote, and newline (format 0.0.4).
-std::string escape_label_value(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (char c : raw) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
+/// Prometheus sample value: integers print as such; everything else uses the
+/// JSON writer's shortest-round-trip formatting so scrapes are deterministic.
+std::string format_value(double v) {
+  if (is_exact_integer(v)) return std::to_string(static_cast<long long>(v));
+  return json::format_double(v);
 }
 
 /// HELP text escapes backslash and newline only.
@@ -83,7 +72,43 @@ const char* kind_name(Kind kind) {
   return "untyped";
 }
 
+/// Merges same-name families (Server + Service registries are
+/// concatenated): first help/kind wins, samples append in input order. Both
+/// renderers start here.
+std::vector<Family> merge_families(const std::vector<Family>& families) {
+  std::vector<Family> merged;
+  std::map<std::string, std::size_t> index;
+  for (const Family& family : families) {
+    auto [it, inserted] = index.emplace(family.name, merged.size());
+    if (inserted) {
+      merged.push_back(family);
+      continue;
+    }
+    Family& target = merged[it->second];
+    target.samples.insert(target.samples.end(), family.samples.begin(),
+                          family.samples.end());
+    target.histograms.insert(target.histograms.end(),
+                             family.histograms.begin(),
+                             family.histograms.end());
+  }
+  return merged;
+}
+
 }  // namespace
+
+std::string escape_label_value(const std::string& raw) {
+  std::string out;
+  out.reserve(raw.size());
+  for (char c : raw) {
+    switch (c) {
+      case '\\': out += "\\\\"; break;
+      case '"': out += "\\\""; break;
+      case '\n': out += "\\n"; break;
+      default: out += c;
+    }
+  }
+  return out;
+}
 
 // --------------------------------------------------------------- Histogram
 
@@ -243,24 +268,7 @@ std::vector<double> latency_buckets() {
 }
 
 std::string render_prometheus(const std::vector<Family>& families) {
-  // Merge same-name families (Server + Service registries are concatenated):
-  // first help/kind wins, samples append in input order.
-  std::vector<Family> merged;
-  std::map<std::string, std::size_t> index;
-  for (const Family& family : families) {
-    auto [it, inserted] = index.emplace(family.name, merged.size());
-    if (inserted) {
-      merged.push_back(family);
-      continue;
-    }
-    Family& target = merged[it->second];
-    target.samples.insert(target.samples.end(), family.samples.begin(),
-                          family.samples.end());
-    target.histograms.insert(target.histograms.end(),
-                             family.histograms.begin(),
-                             family.histograms.end());
-  }
-
+  const std::vector<Family> merged = merge_families(families);
   std::string out;
   for (const Family& family : merged) {
     out += "# HELP " + family.name + ' ' + escape_help(family.help) + '\n';
@@ -290,6 +298,57 @@ std::string render_prometheus(const std::vector<Family>& families) {
     }
   }
   return out;
+}
+
+void write_json(json::Writer& w, const std::vector<Family>& families) {
+  auto labels_object = [&w](const Labels& labels) {
+    w.key("labels").begin_object();
+    for (const auto& [key, value] : labels) w.key(key).value(value);
+    w.end_object();
+  };
+  w.begin_object();
+  for (const Family& family : merge_families(families)) {
+    w.key(family.name).begin_object();
+    w.key("kind").value(kind_name(family.kind));
+    w.key("samples").begin_array();
+    for (const Sample& s : family.samples) {
+      w.begin_object();
+      labels_object(s.labels);
+      if (is_exact_integer(s.value)) {
+        w.key("value").value(static_cast<long long>(s.value));
+      } else {
+        w.key("value").value(s.value);
+      }
+      w.end_object();
+    }
+    for (const HistogramSample& h : family.histograms) {
+      w.begin_object();
+      labels_object(h.labels);
+      w.key("count").value(static_cast<unsigned long long>(h.count));
+      w.key("sum").value(h.sum);
+      w.end_object();
+    }
+    w.end_array();
+    w.end_object();
+  }
+  w.end_object();
+}
+
+double sum_samples(const std::vector<Family>& families,
+                   const std::string& name, const Labels& match) {
+  double total = 0.0;
+  for (const Family& family : families) {
+    if (family.name != name) continue;
+    for (const Sample& s : family.samples) {
+      const bool matches = std::all_of(
+          match.begin(), match.end(), [&s](const auto& pair) {
+            return std::find(s.labels.begin(), s.labels.end(), pair) !=
+                   s.labels.end();
+          });
+      if (matches) total += s.value;
+    }
+  }
+  return total;
 }
 
 }  // namespace tetris::obs

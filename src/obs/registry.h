@@ -10,6 +10,10 @@
 #include <utility>
 #include <vector>
 
+namespace tetris::json {
+class Writer;
+}
+
 namespace tetris::obs {
 
 /// Label set attached to an instrument: ordered (name, value) pairs. Order is
@@ -101,7 +105,8 @@ struct Family {
   std::vector<HistogramSample> histograms;  // histogram kind
 };
 
-/// Named instrument registry.
+/// Named instrument registry — the one store of every counter and gauge the
+/// Service, artifact store, Reactor, Server and Dispatcher report.
 ///
 /// Registration (`counter`/`gauge`/`histogram`) takes a mutex and returns a
 /// reference that stays valid for the registry's lifetime — look instruments
@@ -109,9 +114,8 @@ struct Family {
 /// path. Repeated registration of the same (name, labels) returns the same
 /// instrument. `collect()` snapshots every instrument without stopping
 /// writers (relaxed atomic reads), then appends the families produced by any
-/// `add_collector` callbacks — the bridge for pre-existing ad-hoc counters
-/// (cache stats, store stats, backend counters, pool stats) that are not
-/// registry instruments.
+/// `add_collector` callbacks — reserved for values another object owns live
+/// (the job pool's ThreadPool::Stats, the artifact store's directory count).
 class Registry {
  public:
   Registry();
@@ -146,6 +150,9 @@ class Registry {
 /// Default latency buckets (seconds): 100us .. 10s, roughly ×3 per step.
 std::vector<double> latency_buckets();
 
+/// Escapes a label value per format 0.0.4: backslash, double-quote, newline.
+std::string escape_label_value(const std::string& raw);
+
 /// Renders families as Prometheus text exposition format 0.0.4. Families with
 /// the same name are merged (first help/kind wins) so the Server can
 /// concatenate its own registry with the Service's. Label values are escaped
@@ -153,5 +160,16 @@ std::vector<double> latency_buckets();
 /// cumulative `_bucket{le=...}` lines ending in `le="+Inf"` equal to
 /// `_count`, plus `_sum` and `_count`.
 std::string render_prometheus(const std::vector<Family>& families);
+
+/// The JSON twin of `render_prometheus` (same merge), the `metrics` block of
+/// the status documents: each family name maps to `{kind, samples: [{labels,
+/// value}]}`; histogram samples carry `count` and `sum` instead of `value`.
+void write_json(json::Writer& w, const std::vector<Family>& families);
+
+/// Sum of the counter/gauge samples of family `name` whose labels include
+/// every pair of `match` (all of its samples when `match` is empty); 0 when
+/// the family is absent.
+double sum_samples(const std::vector<Family>& families,
+                   const std::string& name, const Labels& match = {});
 
 }  // namespace tetris::obs

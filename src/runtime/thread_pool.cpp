@@ -41,11 +41,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-std::size_t ThreadPool::queued() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return tasks_.size();
-}
-
 void ThreadPool::worker_loop() {
   t_worker_pool = this;
   for (;;) {
@@ -67,7 +62,10 @@ void ThreadPool::worker_loop() {
 ThreadPool::Stats ThreadPool::stats() const {
   Stats out;
   out.threads = size();
-  out.queued = queued();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    out.queued = tasks_.size();
+  }
   out.active = active_workers_.load(std::memory_order_relaxed);
   out.submitted = tasks_submitted_.load(std::memory_order_relaxed);
   out.completed = tasks_completed_.load(std::memory_order_relaxed);

@@ -43,9 +43,6 @@ class ThreadPool {
 
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
-  /// Number of tasks submitted but not yet started (diagnostic).
-  std::size_t queued() const;
-
   /// Point-in-time telemetry snapshot. `queued` + `active` can momentarily
   /// disagree with `submitted - completed` (a task between dequeue and the
   /// active increment), so treat the fields as independent gauges/counters,

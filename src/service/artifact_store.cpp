@@ -80,6 +80,24 @@ bool write_file_atomic(const fs::path& path, std::string_view bytes) {
   return true;
 }
 
+/// (mtime, path) of every artifact file in `dir`. Scan errors (a sibling
+/// racing us) skip the entry: the listing feeds best-effort housekeeping and
+/// a gauge, never correctness.
+std::vector<std::pair<fs::file_time_type, fs::path>> artifact_files(
+    const std::string& dir) {
+  std::vector<std::pair<fs::file_time_type, fs::path>> files;
+  std::error_code ec;
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    if (!it->is_regular_file(ec) || ec) continue;
+    if (it->path().extension() != kArtifactExtension) continue;
+    const auto mtime = fs::last_write_time(it->path(), ec);
+    if (ec) continue;
+    files.emplace_back(mtime, it->path());
+  }
+  return files;
+}
+
 }  // namespace
 
 ArtifactKey artifact_key(const lock::FlowJob& job, std::uint64_t seed) {
@@ -179,86 +197,52 @@ std::string ArtifactStore::path_for(const ArtifactKey& key) const {
       .string();
 }
 
-std::optional<lock::FlowResult> ArtifactStore::load(const ArtifactKey& key) {
-  const fs::path path = path_for(key);
+LoadResult ArtifactStore::load(const ArtifactKey& key) const {
+  LoadResult out;
   std::string bytes;
-  if (!read_file(path, bytes)) {
-    std::lock_guard<std::mutex> lk(mutex_);
-    ++stats_.misses;
-    return std::nullopt;
-  }
+  if (!read_file(path_for(key), bytes)) return out;  // kMiss
   try {
     Artifact artifact = decode_artifact(bytes);
     if (artifact.key != key) {
       // A renamed or cross-copied file: structurally valid, wrong identity.
       throw ParseError("artifact: embedded key does not match requested key");
     }
-    std::lock_guard<std::mutex> lk(mutex_);
-    ++stats_.hits;
-    return std::move(artifact.result);
+    out.status = LoadStatus::kHit;
+    out.result = std::move(artifact.result);
   } catch (const ParseError&) {
-    // Corrupt on disk. Count it and treat as a miss — the recompute path
-    // will overwrite the bad file atomically.
-    std::lock_guard<std::mutex> lk(mutex_);
-    ++stats_.corrupt;
-    return std::nullopt;
+    // Corrupt on disk: treated as a miss — the recompute path will
+    // overwrite the bad file atomically.
+    out.status = LoadStatus::kCorrupt;
   }
+  return out;
 }
 
-bool ArtifactStore::store(const ArtifactKey& key,
-                          const lock::FlowResult& result) {
-  const std::string bytes = encode_artifact(key, result);
-  if (!write_file_atomic(path_for(key), bytes)) return false;
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    ++stats_.writes;
+StoreResult ArtifactStore::store(const ArtifactKey& key,
+                                 const lock::FlowResult& result) const {
+  StoreResult out;
+  out.written = write_file_atomic(path_for(key), encode_artifact(key, result));
+  if (out.written && config_.max_entries > 0) {
+    out.evicted = evict_over_capacity();
   }
-  if (config_.max_entries > 0) evict_over_capacity();
-  return true;
+  return out;
 }
 
-void ArtifactStore::evict_over_capacity() {
-  // Collect (mtime, path) for every artifact file; evict oldest-first until
-  // within bound. Scan errors (a sibling racing us) are ignored — eviction is
-  // best-effort housekeeping, never correctness.
-  std::vector<std::pair<fs::file_time_type, fs::path>> files;
-  std::error_code ec;
-  for (fs::directory_iterator it(config_.dir, ec), end; !ec && it != end;
-       it.increment(ec)) {
-    if (!it->is_regular_file(ec) || ec) continue;
-    if (it->path().extension() != kArtifactExtension) continue;
-    const auto mtime = fs::last_write_time(it->path(), ec);
-    if (ec) continue;
-    files.emplace_back(mtime, it->path());
-  }
-  if (files.size() <= config_.max_entries) return;
+std::size_t ArtifactStore::evict_over_capacity() const {
+  // Evict oldest-first (by mtime) until within bound.
+  auto files = artifact_files(config_.dir);
+  if (files.size() <= config_.max_entries) return 0;
   std::sort(files.begin(), files.end());
   const std::size_t excess = files.size() - config_.max_entries;
   std::size_t removed = 0;
+  std::error_code ec;
   for (std::size_t i = 0; i < excess; ++i) {
     if (fs::remove(files[i].second, ec) && !ec) ++removed;
   }
-  std::lock_guard<std::mutex> lk(mutex_);
-  stats_.evictions += removed;
+  return removed;
 }
 
-ArtifactStoreStats ArtifactStore::stats() const {
-  ArtifactStoreStats out;
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    out = stats_;
-  }
-  std::size_t entries = 0;
-  std::error_code ec;
-  for (fs::directory_iterator it(config_.dir, ec), end; !ec && it != end;
-       it.increment(ec)) {
-    if (it->is_regular_file(ec) && !ec &&
-        it->path().extension() == kArtifactExtension) {
-      ++entries;
-    }
-  }
-  out.entries = entries;
-  return out;
+std::size_t ArtifactStore::entries() const {
+  return artifact_files(config_.dir).size();
 }
 
 }  // namespace tetris::service

@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -86,14 +84,23 @@ struct ArtifactStoreConfig {
   std::size_t max_entries = 0;
 };
 
-/// Monotonic counters of one store, surfaced by `GET /v1/status`.
-struct ArtifactStoreStats {
-  std::size_t hits = 0;       ///< loads that produced a valid artifact
-  std::size_t misses = 0;     ///< loads with no file for the key
-  std::size_t writes = 0;     ///< artifacts persisted
-  std::size_t corrupt = 0;    ///< loads rejected (bad bytes or wrong key)
-  std::size_t evictions = 0;  ///< files removed by the max_entries bound
-  std::size_t entries = 0;    ///< artifact files currently in the directory
+/// What one ArtifactStore::load found.
+enum class LoadStatus {
+  kHit,      ///< a valid artifact for the key
+  kMiss,     ///< no file for the key
+  kCorrupt,  ///< a file that failed validation or embeds another key
+};
+
+/// Outcome of ArtifactStore::load; `result` is valid only for kHit.
+struct LoadResult {
+  LoadStatus status = LoadStatus::kMiss;
+  lock::FlowResult result;
+};
+
+/// Outcome of ArtifactStore::store.
+struct StoreResult {
+  bool written = false;     ///< the artifact landed on disk
+  std::size_t evicted = 0;  ///< files removed by the max_entries bound
 };
 
 /// Disk-backed artifact cache, keyed on the ArtifactKey triple.
@@ -102,44 +109,45 @@ struct ArtifactStoreStats {
 /// digits each) so the key is recoverable from a directory listing alone.
 /// Writes are atomic (temp file + rename): a reader — in this process or a
 /// sibling sharing the directory over NFS/a volume mount — can never observe
-/// a half-written artifact. A corrupt or truncated file is counted, left in
-/// place, and treated as a miss; the recompute that follows overwrites it
-/// atomically. The store never throws on load/store I/O or corruption — a
-/// broken cache tier must degrade a flow to a recompute, not fail it — but
-/// the constructor does throw if the directory cannot be created.
+/// a half-written artifact. A corrupt or truncated file is reported as
+/// kCorrupt, left in place, and treated as a miss; the recompute that
+/// follows overwrites it atomically. The store never throws on load/store
+/// I/O or corruption — a broken cache tier must degrade a flow to a
+/// recompute, not fail it — but the constructor does throw if the directory
+/// cannot be created. It keeps no counters: each call returns its outcome
+/// and the Service counts it.
 ///
-/// Thread safety: all methods may be called concurrently; counters are
-/// mutex-guarded and file-level atomicity comes from rename.
+/// Thread safety: all methods may be called concurrently; file-level
+/// atomicity comes from rename, and the store holds no mutable state.
 class ArtifactStore {
  public:
   explicit ArtifactStore(ArtifactStoreConfig config);
 
-  /// Loads the artifact for `key`, or nullopt on miss/corruption. A stored
-  /// file whose embedded key differs from `key` (a renamed or cross-copied
-  /// file) counts as corrupt, not as a hit — the filename is a convenience,
-  /// the embedded key is the authority.
-  std::optional<lock::FlowResult> load(const ArtifactKey& key);
+  /// Loads the artifact for `key`. A stored file whose embedded key differs
+  /// from `key` (a renamed or cross-copied file) is kCorrupt, not a hit —
+  /// the filename is a convenience, the embedded key is the authority.
+  LoadResult load(const ArtifactKey& key) const;
 
   /// Persists (key, result), overwriting any existing artifact for the key,
-  /// then applies the max_entries bound. Returns false (and counts nothing)
-  /// if the bytes could not be written.
-  bool store(const ArtifactKey& key, const lock::FlowResult& result);
+  /// then applies the max_entries bound. `written` is false (and nothing is
+  /// evicted) if the bytes could not be written.
+  StoreResult store(const ArtifactKey& key,
+                    const lock::FlowResult& result) const;
 
   /// Absolute-ish path an artifact for `key` lives at (whether or not it
   /// currently exists).
   std::string path_for(const ArtifactKey& key) const;
 
-  /// Counters plus a fresh directory scan for `entries`.
-  ArtifactStoreStats stats() const;
+  /// Artifact files currently in the directory (a fresh scan).
+  std::size_t entries() const;
 
   const ArtifactStoreConfig& config() const { return config_; }
 
  private:
-  void evict_over_capacity();
+  /// Removes the oldest files past max_entries; returns how many went.
+  std::size_t evict_over_capacity() const;
 
   ArtifactStoreConfig config_;
-  mutable std::mutex mutex_;
-  ArtifactStoreStats stats_;
 };
 
 }  // namespace tetris::service

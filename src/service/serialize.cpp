@@ -57,7 +57,7 @@ void job_outcome_object(json::Writer& w, const JobOutcome& outcome,
     w.key("backend").value(sim::backend_kind_name(outcome.backend));
   }
   w.end_object();
-  // Setup caveats (e.g. the device_for_checked topology fallback), emitted
+  // Setup caveats (e.g. the device_for topology fallback), emitted
   // only when present — warning-free documents keep the pre-warnings schema
   // byte for byte.
   if (!outcome.warnings.empty()) {

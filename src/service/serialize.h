@@ -23,10 +23,12 @@ namespace tetris::service {
 /// consumers (dispatcher aggregation, CI smoke scripts, dashboards) can
 /// version-check before reading counters. kStatusSchema names one node's
 /// GET /v1/status document; kDispatchStatusSchema names the dispatcher's
-/// cross-node aggregation (docs/API.md has both layouts).
-inline constexpr const char* kStatusSchema = "tetrislock.status.v1";
+/// cross-node aggregation (docs/API.md has both layouts). Since v2 every
+/// counter in either document sits under "metrics", rendered by
+/// obs::write_json from the same family list as GET /metrics.
+inline constexpr const char* kStatusSchema = "tetrislock.status.v2";
 inline constexpr const char* kDispatchStatusSchema =
-    "tetrislock.dispatch_status.v1";
+    "tetrislock.dispatch_status.v2";
 
 /// Appends the FlowResult metric fields to an object the caller has already
 /// opened on `w` (composition point for custom envelopes).

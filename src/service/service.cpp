@@ -160,9 +160,43 @@ Service::Service(ServiceConfig config) : config_(std::move(config)) {
     store_ = std::make_unique<ArtifactStore>(
         ArtifactStoreConfig{config_.store_dir, config_.store_max_entries});
   }
-  cache_stats_.capacity = config_.cache_capacity;
-  telemetry_.add_collector(
-      [this](std::vector<obs::Family>& out) { collect_families(out); });
+  obs::Registry& r = telemetry_;
+  jobs_submitted_ = &r.counter("tetris_jobs_submitted_total",
+                               "Jobs accepted by the service.");
+  // Every registered engine gets both series up front, so zero tallies show.
+  for (const sim::BackendInfo& info : sim::registered_backends()) {
+    auto tally = [&](const char* state) {
+      return &r.counter("tetris_jobs_terminal_total",
+                        "Finished jobs by resolved engine and terminal state.",
+                        {{"backend", info.name}, {"state", state}});
+    };
+    terminal_[info.kind] = {tally("done"), tally("failed")};
+  }
+  cache_hits_ = &r.counter("tetris_cache_hits_total",
+                           "Result-cache hits (memory LRU).");
+  cache_misses_ = &r.counter("tetris_cache_misses_total",
+                             "Result-cache misses (memory LRU).");
+  cache_evictions_ =
+      &r.counter("tetris_cache_evictions_total",
+                 "Result-cache entries dropped by the capacity bound.");
+  cache_entries_ = &r.gauge("tetris_cache_entries",
+                            "Results resident in the memory LRU.");
+  r.gauge("tetris_cache_capacity", "Configured LRU bound (0 = disabled).")
+      .set(static_cast<double>(config_.cache_capacity));
+  if (store_) {
+    store_loads_[0] = &r.counter("tetris_store_hits_total",
+                                 "Artifact-store loads that hit.");
+    store_loads_[1] = &r.counter("tetris_store_misses_total",
+                                 "Artifact-store loads with no file.");
+    store_loads_[2] = &r.counter("tetris_store_corrupt_total",
+                                 "Artifact loads rejected as corrupt.");
+    store_writes_ = &r.counter("tetris_store_writes_total",
+                               "Artifacts persisted to disk.");
+    store_evictions_ = &r.counter("tetris_store_evictions_total",
+                                  "Artifact files removed by the entry cap.");
+  }
+  r.add_collector(
+      [this](std::vector<obs::Family>& out) { collect_live(out); });
 }
 
 Service::~Service() {
@@ -190,6 +224,7 @@ JobHandle Service::submit(lock::FlowJob job, std::uint64_t seed) {
     std::lock_guard<std::mutex> lk(mutex_);
     record->id = static_cast<std::uint64_t>(records_.size()) + 1;
     records_.push_back(record);
+    jobs_submitted_->inc();
     ++outstanding_;
   }
   enqueue(record);
@@ -247,108 +282,74 @@ void Service::execute(const std::shared_ptr<JobRecord>& record) {
   }
   if (cache_enabled) {
     obs::ScopedSpan span(&trace, "cache.lookup");
-    bool hit = false;
     {
       std::lock_guard<std::mutex> lk(mutex_);
       auto it = cache_index_.find(key);
       if (it != cache_index_.end()) {
         lru_.splice(lru_.begin(), lru_, it->second);  // mark most recently used
         cached = it->second->result;
-        hit = true;
-        ++cache_stats_.hits;
-      } else {
-        ++cache_stats_.misses;
       }
     }
-    span.attr("tier", "memory").attr("hit", hit ? "1" : "0");
+    (cached ? cache_hits_ : cache_misses_)->inc();
+    span.attr("tier", "memory").attr("hit", cached ? "1" : "0");
   }
+  const bool memory_hit = cached != nullptr;
 
   // Memory miss -> disk tier. The load (file read + decode) runs outside
-  // mutex_: artifact I/O must never serialize unrelated jobs. A disk hit is
-  // promoted into the memory LRU so the next repeat stops in RAM.
+  // mutex_: artifact I/O must never serialize unrelated jobs.
   if (!cached && store_enabled) {
     obs::ScopedSpan span(&trace, "store.read");
-    const ArtifactKey akey{key.circuit_hash, key.seed, key.fingerprint};
-    if (auto loaded = store_->load(akey)) {
-      cached = std::make_shared<const lock::FlowResult>(std::move(*loaded));
-      if (cache_enabled) {
-        std::lock_guard<std::mutex> lk(mutex_);
-        if (cache_index_.find(key) == cache_index_.end()) {
-          lru_.push_front(CacheEntry{key, cached});
-          cache_index_[key] = lru_.begin();
-          while (lru_.size() > config_.cache_capacity) {
-            cache_index_.erase(lru_.back().key);
-            lru_.pop_back();
-            ++cache_stats_.evictions;
-          }
-          cache_stats_.entries = lru_.size();
-        }
-      }
+    LoadResult loaded =
+        store_->load({key.circuit_hash, key.seed, key.fingerprint});
+    store_loads_[static_cast<std::size_t>(loaded.status)]->inc();
+    if (loaded.status == LoadStatus::kHit) {
+      cached = std::make_shared<const lock::FlowResult>(
+          std::move(loaded.result));
     }
     span.attr("hit", cached ? "1" : "0");
   }
 
-  if (cached) {
-    observe_stages(trace);
-    std::lock_guard<std::mutex> lk(mutex_);
-    record->result = std::move(cached);
-    record->trace = std::make_shared<const obs::Trace>(std::move(trace));
-    record->cache_hit = true;
-    record->state = JobState::kDone;
-    record->seconds = seconds_since(start);
-    ++backend_counters_[sim::backend_kind_name(record->resolved_backend)].done;
-    --outstanding_;
-    cv_.notify_all();
-    return;
-  }
-
   // The actual work happens outside any lock.
-  std::shared_ptr<const lock::FlowResult> result;
+  std::shared_ptr<const lock::FlowResult> result = cached;
   ServiceStatus status;
-  try {
-    Rng rng(record->seed);
-    result = std::make_shared<const lock::FlowResult>(
-        lock::run_flow(record->job.circuit, record->job.measured,
-                       record->job.target, record->job.config, rng, &trace));
-  } catch (...) {
-    status = ServiceStatus::from_current_exception();
+  if (!cached) {
+    try {
+      Rng rng(record->seed);
+      result = std::make_shared<const lock::FlowResult>(lock::run_flow(
+          record->job.circuit, record->job.measured, record->job.target,
+          record->job.config, rng, &trace));
+    } catch (...) {
+      status = ServiceStatus::from_current_exception();
+    }
+    // Persist before publishing, still outside mutex_ (the write is atomic
+    // on the store's side). Failures are absorbed by the store — a broken
+    // disk degrades durability, not the job.
+    if (result && store_enabled) {
+      obs::ScopedSpan span(&trace, "store.write");
+      const StoreResult written = store_->store(
+          ArtifactKey{key.circuit_hash, key.seed, key.fingerprint}, *result);
+      if (written.written) store_writes_->inc();
+      store_evictions_->inc(written.evicted);
+    }
   }
 
-  // Persist before publishing, still outside mutex_ (the store has its own
-  // synchronization and the write is atomic on its side). Failures are
-  // absorbed by the store — a broken disk degrades durability, not the job.
-  if (result && store_enabled) {
-    obs::ScopedSpan span(&trace, "store.write");
-    store_->store(ArtifactKey{key.circuit_hash, key.seed, key.fingerprint},
-                  *result);
-  }
-
+  // Every counter moves before the record turns terminal, so a caller
+  // returning from wait() sees it.
   observe_stages(trace);
+  terminal_.at(record->resolved_backend)[result ? 0 : 1]->inc();
   std::lock_guard<std::mutex> lk(mutex_);
   record->trace = std::make_shared<const obs::Trace>(std::move(trace));
   record->seconds = seconds_since(start);
+  record->cache_hit = cached != nullptr;
   if (result) {
-    // Insert only if a concurrent job with the same triple didn't beat us to
-    // it (cache stampede): a blind push would leave an unindexed duplicate
-    // in lru_ whose eviction would erase the live entry's index.
-    if (cache_enabled && cache_index_.find(key) == cache_index_.end()) {
-      lru_.push_front(CacheEntry{key, result});
-      cache_index_[key] = lru_.begin();
-      while (lru_.size() > config_.cache_capacity) {
-        cache_index_.erase(lru_.back().key);
-        lru_.pop_back();
-        ++cache_stats_.evictions;
-      }
-      cache_stats_.entries = lru_.size();
-    }
+    // A disk hit is promoted so the next repeat stops in RAM; a fresh
+    // result is cached. A memory hit is already resident.
+    if (cache_enabled && !memory_hit) cache_insert_locked(key, result);
     record->result = std::move(result);
     record->state = JobState::kDone;
-    ++backend_counters_[sim::backend_kind_name(record->resolved_backend)].done;
   } else {
     record->status = status;
     record->state = JobState::kFailed;
-    ++backend_counters_[sim::backend_kind_name(record->resolved_backend)]
-          .failed;
   }
   --outstanding_;
   cv_.notify_all();
@@ -471,28 +472,40 @@ std::vector<JobOutcome> Service::wait_all() const {
 }
 
 std::size_t Service::jobs_submitted() const {
-  std::lock_guard<std::mutex> lk(mutex_);
-  return records_.size();
-}
-
-std::map<std::string, BackendCounters> Service::backend_counters() const {
-  std::lock_guard<std::mutex> lk(mutex_);
-  return backend_counters_;
+  return static_cast<std::size_t>(jobs_submitted_->value());
 }
 
 CacheStats Service::cache_stats() const {
-  std::lock_guard<std::mutex> lk(mutex_);
-  CacheStats stats = cache_stats_;
-  stats.entries = lru_.size();
+  CacheStats stats;
+  stats.hits = static_cast<std::size_t>(cache_hits_->value());
+  stats.misses = static_cast<std::size_t>(cache_misses_->value());
+  stats.evictions = static_cast<std::size_t>(cache_evictions_->value());
+  stats.entries = static_cast<std::size_t>(cache_entries_->value());
   stats.capacity = config_.cache_capacity;
   return stats;
+}
+
+void Service::cache_insert_locked(
+    const CacheKey& key, std::shared_ptr<const lock::FlowResult> result) {
+  // Insert only if a concurrent job with the same triple didn't beat us to
+  // it (cache stampede): a blind push would leave an unindexed duplicate in
+  // lru_ whose eviction would erase the live entry's index.
+  if (cache_index_.count(key) != 0) return;
+  lru_.push_front(CacheEntry{key, std::move(result)});
+  cache_index_[key] = lru_.begin();
+  while (lru_.size() > config_.cache_capacity) {
+    cache_index_.erase(lru_.back().key);
+    lru_.pop_back();
+    cache_evictions_->inc();
+  }
+  cache_entries_->set(static_cast<double>(lru_.size()));
 }
 
 void Service::clear_cache() {
   std::lock_guard<std::mutex> lk(mutex_);
   lru_.clear();
   cache_index_.clear();
-  cache_stats_.entries = 0;
+  cache_entries_->set(0.0);
 }
 
 std::string Service::artifact_bytes(const JobHandle& handle) const {
@@ -510,11 +523,6 @@ std::string Service::artifact_bytes(const JobHandle& handle) const {
   return encode_artifact(artifact_key(record->job, record->seed), *result);
 }
 
-unsigned Service::threads() const {
-  return private_pool_ ? private_pool_->size()
-                       : runtime::ThreadPool::global().size();
-}
-
 runtime::ThreadPool::Stats Service::pool_stats() const {
   return private_pool_ ? private_pool_->stats()
                        : runtime::ThreadPool::global().stats();
@@ -530,91 +538,27 @@ void Service::observe_stages(const obs::Trace& trace) {
   }
 }
 
-void Service::collect_families(std::vector<obs::Family>& out) const {
-  std::size_t submitted = 0;
-  std::map<std::string, BackendCounters> backends;
-  CacheStats cache;
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    submitted = records_.size();
-    backends = backend_counters_;
-    cache = cache_stats_;
-    cache.entries = lru_.size();
-    cache.capacity = config_.cache_capacity;
-  }
-
+void Service::collect_live(std::vector<obs::Family>& out) const {
   auto family = [&out](const char* name, const char* help, obs::Kind kind,
-                       double value, obs::Labels labels = {}) {
-    obs::Family f;
-    f.name = name;
-    f.help = help;
-    f.kind = kind;
-    f.samples.push_back(obs::Sample{std::move(labels), value});
-    out.push_back(std::move(f));
+                       double value) {
+    out.push_back(obs::Family{name, help, kind, {obs::Sample{{}, value}}, {}});
   };
-  const auto kCounter = obs::Kind::kCounter;
-  const auto kGauge = obs::Kind::kGauge;
-
-  family("tetris_jobs_submitted_total", "Jobs accepted by the service.",
-         kCounter, static_cast<double>(submitted));
-  {
-    obs::Family f;
-    f.name = "tetris_jobs_terminal_total";
-    f.help = "Finished jobs by resolved engine and terminal state.";
-    f.kind = kCounter;
-    for (const auto& [engine, counters] : backends) {
-      f.samples.push_back(obs::Sample{
-          {{"backend", engine}, {"state", "done"}},
-          static_cast<double>(counters.done)});
-      f.samples.push_back(obs::Sample{
-          {{"backend", engine}, {"state", "failed"}},
-          static_cast<double>(counters.failed)});
-    }
-    out.push_back(std::move(f));
-  }
-
-  family("tetris_cache_hits_total", "Result-cache hits (memory LRU).",
-         kCounter, static_cast<double>(cache.hits));
-  family("tetris_cache_misses_total", "Result-cache misses (memory LRU).",
-         kCounter, static_cast<double>(cache.misses));
-  family("tetris_cache_evictions_total",
-         "Result-cache entries dropped by the capacity bound.", kCounter,
-         static_cast<double>(cache.evictions));
-  family("tetris_cache_entries", "Results resident in the memory LRU.",
-         kGauge, static_cast<double>(cache.entries));
-  family("tetris_cache_capacity", "Configured LRU bound (0 = disabled).",
-         kGauge, static_cast<double>(cache.capacity));
-
   if (store_) {
-    const ArtifactStoreStats stats = store_->stats();
-    family("tetris_store_hits_total", "Artifact-store loads that hit.",
-           kCounter, static_cast<double>(stats.hits));
-    family("tetris_store_misses_total", "Artifact-store loads with no file.",
-           kCounter, static_cast<double>(stats.misses));
-    family("tetris_store_writes_total", "Artifacts persisted to disk.",
-           kCounter, static_cast<double>(stats.writes));
-    family("tetris_store_corrupt_total",
-           "Artifact loads rejected as corrupt.", kCounter,
-           static_cast<double>(stats.corrupt));
-    family("tetris_store_evictions_total",
-           "Artifact files removed by the entry cap.", kCounter,
-           static_cast<double>(stats.evictions));
     family("tetris_store_entries", "Artifact files currently on disk.",
-           kGauge, static_cast<double>(stats.entries));
+           obs::Kind::kGauge, static_cast<double>(store_->entries()));
   }
-
   const runtime::ThreadPool::Stats pool = pool_stats();
   family("tetris_pool_threads", "Worker threads of the service pool.",
-         kGauge, static_cast<double>(pool.threads));
+         obs::Kind::kGauge, static_cast<double>(pool.threads));
   family("tetris_pool_queue_depth", "Tasks waiting in the pool queue.",
-         kGauge, static_cast<double>(pool.queued));
+         obs::Kind::kGauge, static_cast<double>(pool.queued));
   family("tetris_pool_active_workers", "Workers currently running a task.",
-         kGauge, static_cast<double>(pool.active));
+         obs::Kind::kGauge, static_cast<double>(pool.active));
   family("tetris_pool_tasks_submitted_total",
-         "Tasks ever accepted by the pool.", kCounter,
+         "Tasks ever accepted by the pool.", obs::Kind::kCounter,
          static_cast<double>(pool.submitted));
   family("tetris_pool_tasks_completed_total",
-         "Tasks the pool finished running.", kCounter,
+         "Tasks the pool finished running.", obs::Kind::kCounter,
          static_cast<double>(pool.completed));
 }
 

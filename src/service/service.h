@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -92,7 +93,7 @@ struct JobOutcome {
   /// (sim::resolve_backend), fixed at submission. Never kAuto.
   sim::BackendKind backend = sim::BackendKind::kStateVector;
   /// Setup caveats carried over from FlowJob::warnings (e.g. the
-  /// device_for_checked ring-topology fallback). Serialized as a "warnings"
+  /// device_for ring-topology fallback). Serialized as a "warnings"
   /// array only when non-empty, so warning-free documents stay byte-identical
   /// to the pre-warnings schema.
   std::vector<std::string> warnings;
@@ -106,13 +107,8 @@ struct JobOutcome {
   lock::FlowResult result;    ///< valid only when state == kDone
 };
 
-/// Terminal-job tallies of one simulation engine (GET /v1/status).
-struct BackendCounters {
-  std::size_t done = 0;    ///< kDone jobs, cache hits included
-  std::size_t failed = 0;  ///< kFailed jobs
-};
-
-/// Hit/miss counters of the result cache.
+/// Hit/miss counters of the result cache: a view over the service's
+/// `tetris_cache_*` instruments (Service::cache_stats).
 struct CacheStats {
   std::size_t hits = 0;
   std::size_t misses = 0;      ///< lookups the memory tier could not answer
@@ -255,11 +251,9 @@ class Service {
   /// submission order (does not interact with drain's once-only cursor).
   std::vector<JobOutcome> wait_all() const;
 
+  /// Views over the `tetris_jobs_submitted_total` and `tetris_cache_*`
+  /// instruments.
   std::size_t jobs_submitted() const;
-  /// Terminal-job tallies keyed by engine name ("statevector", ...), for
-  /// every engine that has finished at least one job. Resolved (never
-  /// "auto") names; cancelled jobs are not counted — they never ran.
-  std::map<std::string, BackendCounters> backend_counters() const;
   CacheStats cache_stats() const;
   /// Drops all cached results (counters keep accumulating). Disk artifacts
   /// are untouched — clearing memory must not destroy durable state.
@@ -274,22 +268,20 @@ class Service {
   std::string artifact_bytes(const JobHandle& handle) const;
 
   /// The disk artifact store, or nullptr when ServiceConfig::store_dir is
-  /// empty. Exposed for stats reporting (GET /v1/status) and tests.
-  ArtifactStore* artifact_store() { return store_.get(); }
+  /// empty. Exposed for the CLI's store summary and tests.
   const ArtifactStore* artifact_store() const { return store_.get(); }
 
   const ServiceConfig& config() const { return config_; }
-  /// Width of the pool this service executes on.
-  unsigned threads() const;
 
-  /// Point-in-time telemetry of the pool this service executes on.
+  /// Point-in-time telemetry (width included) of the pool this service
+  /// executes on.
   runtime::ThreadPool::Stats pool_stats() const;
 
-  /// The service's metrics registry: per-stage duration histograms
-  /// (`tetris_job_stage_seconds{stage=...}`) plus snapshot collectors that
-  /// re-export the job/cache/store/backend/pool counters above as Prometheus
-  /// families. `GET /metrics` concatenates this with the server's own
-  /// HTTP-layer registry (obs::render_prometheus merges the two).
+  /// The service's metrics registry, the only storage of its counters: jobs
+  /// submitted, terminal jobs per engine and state, cache, store, and the
+  /// per-stage histograms (`tetris_job_stage_seconds{stage}`), plus one
+  /// collector for the job pool and the store's file count. Counters move
+  /// before the job they count turns terminal, so `wait()` callers see them.
   obs::Registry& telemetry() { return telemetry_; }
   const obs::Registry& telemetry() const { return telemetry_; }
 
@@ -334,9 +326,13 @@ class Service {
   runtime::ThreadPool& pool();
   void enqueue(const std::shared_ptr<JobRecord>& record);
   void execute(const std::shared_ptr<JobRecord>& record);
-  /// Collector callback: re-exports the ad-hoc job/cache/store/backend/pool
-  /// counters as metric families at scrape time.
-  void collect_families(std::vector<obs::Family>& out) const;
+  /// Inserts a result (unless a concurrent job beat us to the key) and
+  /// evicts past capacity; caller holds mutex_. The one insert site.
+  void cache_insert_locked(const CacheKey& key,
+                           std::shared_ptr<const lock::FlowResult> result);
+  /// Collector: values other objects own live (pool stats, store files).
+  /// Takes no service mutex.
+  void collect_live(std::vector<obs::Family>& out) const;
   /// Records every span of a finished trace into the per-stage histograms.
   void observe_stages(const obs::Trace& trace);
   /// Copies the metadata fields only; the result is attached by
@@ -363,14 +359,22 @@ class Service {
   std::list<CacheEntry> lru_;
   std::unordered_map<CacheKey, std::list<CacheEntry>::iterator, CacheKeyHash>
       cache_index_;
-  CacheStats cache_stats_;
-  /// Terminal-job tallies per resolved engine name. Guarded by mutex_.
-  std::map<std::string, BackendCounters> backend_counters_;
 
-  /// Internally synchronized; never touched while mutex_ is held (the
-  /// collector callback takes mutex_ from inside a registry collect, so the
-  /// reverse order would invert the lock hierarchy).
+  /// Instruments are registered in the constructor; afterwards only these
+  /// cached pointers are touched, so no registry lookup runs under mutex_.
   obs::Registry telemetry_;
+  obs::Counter* jobs_submitted_ = nullptr;
+  obs::Counter* cache_hits_ = nullptr;
+  obs::Counter* cache_misses_ = nullptr;
+  obs::Counter* cache_evictions_ = nullptr;
+  obs::Gauge* cache_entries_ = nullptr;
+  /// Artifact-store outcome counters, loads indexed by LoadStatus; null
+  /// without a store.
+  obs::Counter* store_loads_[3] = {};
+  obs::Counter* store_writes_ = nullptr;
+  obs::Counter* store_evictions_ = nullptr;
+  /// `tetris_jobs_terminal_total` per registered engine: {done, failed}.
+  std::map<sim::BackendKind, std::array<obs::Counter*, 2>> terminal_;
 };
 
 }  // namespace tetris::service

@@ -21,6 +21,7 @@
 #include "common/rng.h"
 #include "lock/pipeline.h"
 #include "lock/serialize.h"
+#include "obs/registry.h"
 #include "qir/binary.h"
 #include "qir/library.h"
 #include "revlib/benchmarks.h"
@@ -72,8 +73,8 @@ const lock::FlowResult& flow_result() {
     cfg.shots = 64;
     Rng rng(7);
     return lock::run_flow(b.circuit, b.measured,
-                          compiler::device_for(b.circuit.num_qubits()), cfg,
-                          rng);
+                          compiler::device_for(b.circuit.num_qubits()).target,
+                          cfg, rng);
   }();
   return result;
 }
@@ -409,18 +410,14 @@ TEST(Artifact, RejectsOversizedCountInsidePayload) {
 TEST(ArtifactStore, MissThenStoreThenHit) {
   service::ArtifactStore store({scratch_dir("basic"), 0});
   const service::ArtifactKey key = test_key();
-  EXPECT_FALSE(store.load(key).has_value());
-  EXPECT_TRUE(store.store(key, flow_result()));
+  EXPECT_EQ(store.load(key).status, service::LoadStatus::kMiss);
+  const service::StoreResult written = store.store(key, flow_result());
+  EXPECT_TRUE(written.written);
+  EXPECT_EQ(written.evicted, 0u);
   const auto loaded = store.load(key);
-  ASSERT_TRUE(loaded.has_value());
-  expect_equal_results(*loaded, flow_result());
-
-  const auto stats = store.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.writes, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.corrupt, 0u);
-  EXPECT_EQ(stats.entries, 1u);
+  ASSERT_EQ(loaded.status, service::LoadStatus::kHit);
+  expect_equal_results(loaded.result, flow_result());
+  EXPECT_EQ(store.entries(), 1u);
 }
 
 TEST(ArtifactStore, FileNameEncodesTheKey) {
@@ -434,7 +431,7 @@ TEST(ArtifactStore, FileNameEncodesTheKey) {
 TEST(ArtifactStore, CorruptFileCountsAndRecovers) {
   service::ArtifactStore store({scratch_dir("corrupt"), 0});
   const service::ArtifactKey key = test_key();
-  ASSERT_TRUE(store.store(key, flow_result()));
+  ASSERT_TRUE(store.store(key, flow_result()).written);
 
   // Truncate the file on disk behind the store's back.
   const std::string path = store.path_for(key);
@@ -443,35 +440,35 @@ TEST(ArtifactStore, CorruptFileCountsAndRecovers) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
   }
-  EXPECT_FALSE(store.load(key).has_value());
-  EXPECT_EQ(store.stats().corrupt, 1u);
+  EXPECT_EQ(store.load(key).status, service::LoadStatus::kCorrupt);
 
   // A rewrite heals it.
-  ASSERT_TRUE(store.store(key, flow_result()));
-  EXPECT_TRUE(store.load(key).has_value());
+  ASSERT_TRUE(store.store(key, flow_result()).written);
+  EXPECT_EQ(store.load(key).status, service::LoadStatus::kHit);
 }
 
 TEST(ArtifactStore, WrongEmbeddedKeyIsCorruptNotHit) {
   service::ArtifactStore store({scratch_dir("renamed"), 0});
   const service::ArtifactKey key_a = {1, 2, 3};
   const service::ArtifactKey key_b = {4, 5, 6};
-  ASSERT_TRUE(store.store(key_a, flow_result()));
+  ASSERT_TRUE(store.store(key_a, flow_result()).written);
   // Simulate a mis-renamed file: key_a's bytes under key_b's name.
   fs::copy_file(store.path_for(key_a), store.path_for(key_b));
-  EXPECT_FALSE(store.load(key_b).has_value());
-  EXPECT_EQ(store.stats().corrupt, 1u);
-  EXPECT_TRUE(store.load(key_a).has_value());
+  EXPECT_EQ(store.load(key_b).status, service::LoadStatus::kCorrupt);
+  EXPECT_EQ(store.load(key_a).status, service::LoadStatus::kHit);
 }
 
 TEST(ArtifactStore, EvictsOldestPastCapacity) {
   service::ArtifactStore store({scratch_dir("evict"), 2});
   const lock::FlowResult empty;  // small artifacts; content is irrelevant
+  std::size_t evicted = 0;
   for (std::uint64_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(store.store({i, i, i}, empty));
+    const service::StoreResult written = store.store({i, i, i}, empty);
+    ASSERT_TRUE(written.written);
+    evicted += written.evicted;
   }
-  const auto stats = store.stats();
-  EXPECT_LE(stats.entries, 2u);
-  EXPECT_GE(stats.evictions, 2u);
+  EXPECT_LE(store.entries(), 2u);
+  EXPECT_GE(evicted, 2u);
 }
 
 // -------------------------------------------------------- service integration
@@ -481,6 +478,11 @@ lock::FlowJob small_job() {
   lock::FlowConfig cfg;
   cfg.shots = 64;
   return lock::make_flow_job(b.name, b.circuit, b.measured, cfg);
+}
+
+/// One unlabelled family of the service's registry (0 when absent).
+double service_metric(const service::Service& svc, const char* name) {
+  return obs::sum_samples(svc.telemetry().collect(), name);
 }
 
 TEST(ServiceStore, WarmStartsAcrossRestart) {
@@ -497,14 +499,14 @@ TEST(ServiceStore, WarmStartsAcrossRestart) {
     EXPECT_FALSE(out.cache_hit);
     first_result = out.result;
     ASSERT_NE(svc.artifact_store(), nullptr);
-    EXPECT_EQ(svc.artifact_store()->stats().writes, 1u);
+    EXPECT_EQ(service_metric(svc, "tetris_store_writes_total"), 1.0);
   }  // "restart": the first service (and its memory) is gone
 
   service::Service svc(cfg);
   const auto out = svc.submit(small_job(), /*seed=*/42).wait();
   ASSERT_EQ(out.state, service::JobState::kDone);
   EXPECT_TRUE(out.cache_hit);  // answered from disk, no recompute
-  EXPECT_EQ(svc.artifact_store()->stats().hits, 1u);
+  EXPECT_EQ(service_metric(svc, "tetris_store_hits_total"), 1.0);
   expect_equal_results(out.result, first_result);
 }
 
@@ -522,7 +524,8 @@ TEST(ServiceStore, DiskHitPromotesIntoMemoryCache) {
   service::Service svc(cfg);
   EXPECT_TRUE(svc.submit(small_job(), 42).wait().cache_hit);  // from disk
   EXPECT_TRUE(svc.submit(small_job(), 42).wait().cache_hit);  // from memory
-  EXPECT_EQ(svc.artifact_store()->stats().hits, 1u);  // disk touched only once
+  // Disk touched only once.
+  EXPECT_EQ(service_metric(svc, "tetris_store_hits_total"), 1.0);
   EXPECT_EQ(svc.cache_stats().hits, 1u);
 }
 
@@ -606,7 +609,7 @@ TEST(ServiceStore, CorruptStoreFileFallsBackToRecompute) {
   const auto out = svc.submit(small_job(), 42).wait();
   ASSERT_EQ(out.state, service::JobState::kDone);
   EXPECT_FALSE(out.cache_hit);  // corrupt file must not answer the job
-  EXPECT_EQ(svc.artifact_store()->stats().corrupt, 1u);
+  EXPECT_EQ(service_metric(svc, "tetris_store_corrupt_total"), 1.0);
   // The recompute healed the file: a fresh service hits.
   service::Service again(cfg);
   EXPECT_TRUE(again.submit(small_job(), 42).wait().cache_hit);

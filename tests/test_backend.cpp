@@ -385,7 +385,7 @@ TEST(BackendDifferential, CompiledCliffordCircuitStaysClifford) {
   Rng gen(8);
   qir::Circuit c = random_clifford(5, 25, gen);
   ASSERT_TRUE(c.is_clifford());
-  compiler::CompileOptions options{compiler::device_for(5),
+  compiler::CompileOptions options{compiler::device_for(5).target,
                                    compiler::LayoutStrategy::GreedyDegree,
                                    /*run_optimizer=*/true, std::nullopt};
   compiler::Compiler compiler(options);
@@ -503,8 +503,8 @@ TEST(BackendFlow, FiftyQubitLockedCliffordFlowEndToEnd) {
   config.insertion.alphabet = lock::InsertionAlphabet::Mixed;
   Rng rng(2025);
   lock::FlowResult result = lock::run_flow(
-      b.circuit, b.measured, compiler::device_for(b.circuit.num_qubits()),
-      config, rng);
+      b.circuit, b.measured,
+      compiler::device_for(b.circuit.num_qubits()).target, config, rng);
   EXPECT_EQ(result.depth_obfuscated, result.depth_original);
   EXPECT_GT(result.gates_obfuscated, result.gates_original);
   // The restored circuit beats the masked one by construction; with the

@@ -109,20 +109,15 @@ TEST(Compiler, OptimizerToggleMatters) {
 class CompileBenchmark : public ::testing::TestWithParam<std::string> {};
 
 TEST(DeviceFor, CheckedSurfacesRingFallback) {
-  auto in_band = device_for_checked(5);
+  auto in_band = device_for(5);
   EXPECT_FALSE(in_band.fallback);
   EXPECT_TRUE(in_band.note.empty());
   EXPECT_EQ(in_band.target.name, "fake_valencia");
 
-  auto past_band = device_for_checked(9);
+  auto past_band = device_for(9);
   EXPECT_TRUE(past_band.fallback);
   EXPECT_EQ(past_band.target.name, "ring9");
   EXPECT_NE(past_band.note.find("ring9"), std::string::npos) << past_band.note;
-
-  // The legacy accessor keeps returning the selected target unchanged — the
-  // checked variant only ADDS the flag, it never alters the selection.
-  EXPECT_EQ(device_for(5).name, "fake_valencia");
-  EXPECT_EQ(device_for(9).name, "ring9");
 }
 
 TEST_P(CompileBenchmark, EquivalentOnExperimentDevice) {
@@ -130,7 +125,7 @@ TEST_P(CompileBenchmark, EquivalentOnExperimentDevice) {
   if (b.circuit.num_qubits() > 7) {
     GTEST_SKIP() << "dense-unitary oracle too large";
   }
-  Target target = device_for(b.circuit.num_qubits());
+  Target target = device_for(b.circuit.num_qubits()).target;
   CompileOptions opts{target, LayoutStrategy::GreedyDegree, true, std::nullopt};
   auto result = Compiler(opts).compile(b.circuit);
   EXPECT_TRUE(is_coupling_compliant(result.circuit, target.coupling));

@@ -41,7 +41,7 @@ FullRun run_benchmark(const std::string& name, std::uint64_t seed,
 /// original circuit's deterministic outcome.
 void expect_restores_function(const std::string& name, std::uint64_t seed) {
   const auto& b = revlib::get_benchmark(name);
-  auto target = compiler::device_for(b.circuit.num_qubits());
+  auto target = compiler::device_for(b.circuit.num_qubits()).target;
   target.noise = sim::NoiseModel::ideal();
   auto run = run_benchmark(name, seed, target);
 
@@ -83,7 +83,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Deobfuscate, OrigToPhysIsInjective) {
   const auto& b = revlib::get_benchmark("rd53");
-  auto target = compiler::device_for(b.circuit.num_qubits());
+  auto target = compiler::device_for(b.circuit.num_qubits()).target;
   auto run = run_benchmark("rd53", 5, target);
   std::set<int> seen;
   for (int p : run.recombined.orig_to_phys) {
@@ -95,7 +95,7 @@ TEST(Deobfuscate, OrigToPhysIsInjective) {
 
 TEST(Deobfuscate, SecondCompileIsPinnedToFirstFinalLayout) {
   const auto& b = revlib::get_benchmark("4gt11");
-  auto target = compiler::device_for(b.circuit.num_qubits());
+  auto target = compiler::device_for(b.circuit.num_qubits()).target;
   auto run = run_benchmark("4gt11", 3, target);
   // For each original qubit in both splits, split2's initial wire must equal
   // split1's final wire.
@@ -130,7 +130,7 @@ TEST(Deobfuscate, MismatchedTargetsRejected) {
 
 TEST(Deobfuscate, CompiledSplitsStayInBasisAndOnDevice) {
   const auto& b = revlib::get_benchmark("rd73");
-  auto target = compiler::device_for(b.circuit.num_qubits());
+  auto target = compiler::device_for(b.circuit.num_qubits()).target;
   auto run = run_benchmark("rd73", 7, target);
   for (const auto* cs : {&run.recombined.first, &run.recombined.second}) {
     for (const auto& g : cs->result.circuit.gates()) {

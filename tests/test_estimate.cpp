@@ -103,7 +103,7 @@ class EstimateVsSampled : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(EstimateVsSampled, WithinFivePercentOfSampledAccuracy) {
   const auto& b = revlib::get_benchmark(GetParam());
-  auto target = compiler::device_for(b.circuit.num_qubits());
+  auto target = compiler::device_for(b.circuit.num_qubits()).target;
   compiler::CompileOptions opts(target);
   auto compiled = compiler::Compiler(opts).compile(b.circuit);
 

@@ -67,6 +67,18 @@ TEST(JsonWriter, DoubleFormattingRoundTrips) {
   double parsed = 0.0;
   sscanf(format_double(awkward).c_str(), "%lf", &parsed);
   EXPECT_EQ(parsed, awkward);
+  // %g layout at the shortest precision, locale-independent.
+  EXPECT_EQ(format_double(100000.0), "1e+05");
+  EXPECT_EQ(format_double(123000.0), "1.23e+05");
+  EXPECT_EQ(format_double(0.1 + 0.2), "0.30000000000000004");
+  EXPECT_EQ(format_double(1e-5), "1e-05");
+  // Extremes come back through the strict parser unchanged.
+  for (double v : {std::numeric_limits<double>::max(),
+                   -std::numeric_limits<double>::max(),
+                   std::numeric_limits<double>::min(),
+                   std::numeric_limits<double>::denorm_min()}) {
+    EXPECT_EQ(parse(format_double(v)).as_number(), v) << format_double(v);
+  }
   // Non-finite values serialize as null (no JSON representation).
   EXPECT_EQ(format_double(std::numeric_limits<double>::infinity()), "null");
   EXPECT_EQ(format_double(std::numeric_limits<double>::quiet_NaN()), "null");

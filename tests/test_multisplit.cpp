@@ -85,7 +85,7 @@ TEST_P(MultiSplitProperty, StagedCompilationRestoresFunction) {
   Rng rng(31);
   auto split = multi_split(obf, k, rng);
 
-  auto target = compiler::device_for(b.circuit.num_qubits());
+  auto target = compiler::device_for(b.circuit.num_qubits()).target;
   target.noise = sim::NoiseModel::ideal();
   compiler::CompileOptions options(target);
   auto recombined =
@@ -123,7 +123,7 @@ TEST(MultiSplit, OrigToPhysInjectiveAfterStagedCompile) {
   auto obf = obfuscate("rd73", 41);
   Rng rng(43);
   auto split = multi_split(obf, 3, rng);
-  auto target = compiler::device_for(b.circuit.num_qubits());
+  auto target = compiler::device_for(b.circuit.num_qubits()).target;
   compiler::CompileOptions options(target);
   auto recombined = multi_deobfuscate(split, b.circuit.num_qubits(), options);
   std::set<int> seen;

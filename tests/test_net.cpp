@@ -24,6 +24,7 @@
 #include "net/dispatch.h"
 #include "net/http.h"
 #include "net/socket.h"
+#include "obs/registry.h"
 #include "qir/qasm.h"
 #include "revlib/benchmarks.h"
 #include "service/artifact_store.h"
@@ -111,6 +112,31 @@ std::string poll_until_terminal(Client& client, std::uint64_t id) {
   }
   ADD_FAILURE() << "job " << id << " never became terminal";
   return "timeout";
+}
+
+/// A series total of one registry (obs::sum_samples over the samples whose
+/// labels include `match`), as an integer.
+std::uint64_t metric(const obs::Registry& registry, const char* name,
+                     const obs::Labels& match = {}) {
+  return static_cast<std::uint64_t>(
+      obs::sum_samples(registry.collect(), name, match));
+}
+
+/// The same total read from the "metrics" block of a v2 status document.
+std::int64_t status_metric(const json::Value& status, const char* name,
+                           const obs::Labels& match = {}) {
+  const json::Value* family = status.at("metrics").find(name);
+  if (family == nullptr) return 0;
+  std::int64_t total = 0;
+  for (const json::Value& sample : family->at("samples").as_array()) {
+    bool matches = true;
+    for (const auto& [key, value] : match) {
+      const json::Value* label = sample.at("labels").find(key);
+      matches = matches && label != nullptr && label->as_string() == value;
+    }
+    if (matches) total += sample.at("value").as_int();
+  }
+  return total;
 }
 
 // ----------------------------------------------------------- message layer
@@ -211,15 +237,17 @@ TEST(NetServer, StatusEndpointReportsCounters) {
   auto res = client.get("/v1/status");
   ASSERT_EQ(res.status, 200);
   auto doc = json::parse(res.body);
-  EXPECT_EQ(doc.at("schema").as_string(), "tetrislock.status.v1");
-  EXPECT_EQ(doc.at("service").at("jobs_submitted").as_int(), 0);
-  EXPECT_EQ(doc.at("service").at("threads").as_int(), 2);
-  EXPECT_EQ(doc.at("cache").at("capacity").as_int(), 0);
+  EXPECT_EQ(doc.at("schema").as_string(), "tetrislock.status.v2");
+  EXPECT_EQ(status_metric(doc, "tetris_jobs_submitted_total"), 0);
+  EXPECT_EQ(status_metric(doc, "tetris_pool_threads"), 2);
+  EXPECT_EQ(status_metric(doc, "tetris_cache_capacity"), 0);
 
   // A second status call sees the first one in the counters.
   auto doc2 = json::parse(client.get("/v1/status").body);
-  EXPECT_GE(doc2.at("server").at("requests").as_int(), 1);
-  EXPECT_GE(doc2.at("server").at("responses_2xx").as_int(), 1);
+  EXPECT_GE(status_metric(doc2, "tetris_http_requests_total"), 1);
+  EXPECT_GE(status_metric(doc2, "tetris_http_responses_total",
+                          {{"class", "2xx"}}),
+            1);
 }
 
 TEST(NetServer, SubmitPollResultRoundTrip) {
@@ -371,21 +399,23 @@ TEST(NetServer, StatusReportsArtifactStoreCounters) {
   auto client = fx.client();
 
   auto before = json::parse(client.get("/v1/status").body);
-  EXPECT_TRUE(before.at("store").at("enabled").as_bool());
-  EXPECT_EQ(before.at("store").at("writes").as_int(), 0);
+  EXPECT_EQ(before.at("store_dir").as_string(), dir);
+  EXPECT_EQ(status_metric(before, "tetris_store_writes_total"), 0);
 
   ASSERT_EQ(client.post("/v1/jobs", submit_body("4mod5")).status, 202);
   ASSERT_EQ(poll_until_terminal(client, 1), "done");
 
   auto after = json::parse(client.get("/v1/status").body);
-  EXPECT_EQ(after.at("store").at("writes").as_int(), 1);
-  EXPECT_EQ(after.at("store").at("entries").as_int(), 1);
+  EXPECT_EQ(status_metric(after, "tetris_store_writes_total"), 1);
+  EXPECT_EQ(status_metric(after, "tetris_store_entries"), 1);
 
-  // A store-less server reports the tier as disabled, not absent.
+  // A store-less server reports the tier as disabled (a null directory),
+  // not absent, and exports no store series.
   ServerFixture plain;
   auto plain_client = plain.client();
   auto doc = json::parse(plain_client.get("/v1/status").body);
-  EXPECT_FALSE(doc.at("store").at("enabled").as_bool());
+  EXPECT_TRUE(doc.at("store_dir").is_null());
+  EXPECT_EQ(doc.at("metrics").find("tetris_store_writes_total"), nullptr);
 }
 
 TEST(NetServer, StatusListsBackendRegistryAndPerEngineTallies) {
@@ -401,9 +431,20 @@ TEST(NetServer, StatusListsBackendRegistryAndPerEngineTallies) {
   EXPECT_EQ(backends.at("stabilizer").at("max_qubits").as_int(), 64);
   EXPECT_EQ(backends.at("unitary").at("max_qubits").as_int(), 12);
   EXPECT_FALSE(backends.at("unitary").at("supports_noise").as_bool());
+  // Every engine has both terminal series from the start, at zero.
+  const auto& terminal =
+      doc.at("metrics").at("tetris_jobs_terminal_total").at("samples");
+  EXPECT_EQ(terminal.size(), 2 * backends.size());
   for (const auto& [name, info] : backends.as_object()) {
-    EXPECT_EQ(info.at("jobs_done").as_int(), 0) << name;
-    EXPECT_EQ(info.at("jobs_failed").as_int(), 0) << name;
+    (void)info;
+    EXPECT_EQ(status_metric(doc, "tetris_jobs_terminal_total",
+                            {{"backend", name}, {"state", "done"}}),
+              0)
+        << name;
+    EXPECT_EQ(status_metric(doc, "tetris_jobs_terminal_total",
+                            {{"backend", name}, {"state", "failed"}}),
+              0)
+        << name;
   }
 
   // A 50-qubit Clifford job over the wire lands on the stabilizer engine
@@ -413,10 +454,148 @@ TEST(NetServer, StatusListsBackendRegistryAndPerEngineTallies) {
   ASSERT_EQ(posted.status, 202) << posted.body;
   ASSERT_EQ(poll_until_terminal(client, 1), "done");
   auto after = json::parse(client.get("/v1/status").body);
-  EXPECT_EQ(after.at("backends").at("stabilizer").at("jobs_done").as_int(), 1);
-  EXPECT_EQ(after.at("backends").at("statevector").at("jobs_done").as_int(), 0);
-  EXPECT_EQ(after.at("backends").at("stabilizer").at("jobs_failed").as_int(),
-            0);
+  auto tally = [&after](const char* engine, const char* state) {
+    return status_metric(after, "tetris_jobs_terminal_total",
+                         {{"backend", engine}, {"state", state}});
+  };
+  EXPECT_EQ(tally("stabilizer", "done"), 1);
+  EXPECT_EQ(tally("statevector", "done"), 0);
+  EXPECT_EQ(tally("stabilizer", "failed"), 0);
+}
+
+/// The numeric series of a Prometheus exposition, keyed
+/// `name{k="v",...}` (histograms contribute their `_count` and `_sum`
+/// lines; `_bucket` lines are left to the grammar tests in test_obs.cpp).
+std::map<std::string, double> exposition_series(const std::string& body) {
+  std::map<std::string, double> out;
+  std::size_t pos = 0;
+  while (pos < body.size()) {
+    std::size_t eol = body.find('\n', pos);
+    if (eol == std::string::npos) eol = body.size();
+    const std::string line = body.substr(pos, eol - pos);
+    pos = eol + 1;
+    if (line.empty() || line[0] == '#') continue;
+    const std::size_t space = line.rfind(' ');
+    const std::string key = line.substr(0, space);
+    if (key.find("_bucket{") != std::string::npos) continue;
+    out[key] = std::stod(line.substr(space + 1));
+  }
+  return out;
+}
+
+/// The "metrics" block of a v2 status document, keyed the same way.
+std::map<std::string, double> status_series(const json::Value& status) {
+  std::map<std::string, double> out;
+  for (const auto& [name, family] : status.at("metrics").as_object()) {
+    const bool histogram = family.at("kind").as_string() == "histogram";
+    for (const json::Value& sample : family.at("samples").as_array()) {
+      std::string labels;
+      for (const auto& [key, value] : sample.at("labels").as_object()) {
+        labels += (labels.empty() ? "" : ",") + key + "=\"" +
+                  value.as_string() + "\"";
+      }
+      const std::string block = labels.empty() ? "" : "{" + labels + "}";
+      if (histogram) {
+        out[name + "_count" + block] = sample.at("count").as_number();
+        out[name + "_sum" + block] = sample.at("sum").as_number();
+      } else {
+        out[name + block] = sample.at("value").as_number();
+      }
+    }
+  }
+  return out;
+}
+
+TEST(NetStatus, V2MetricsAgreeWithPrometheusExposition) {
+  const std::string dir = (std::filesystem::path(testing::TempDir()) /
+                           "tetris_net_agreement")
+                              .string();
+  std::filesystem::remove_all(dir);
+  service::ServiceConfig scfg = fixture_service_config(2);
+  scfg.cache_capacity = 8;
+  scfg.store_dir = dir;
+  {  // A previous process left 4gt11's artifact in the store.
+    service::Service warm(scfg);
+    ASSERT_EQ(warm.submit(facade_job("4gt11"), 7).wait().state,
+              service::JobState::kDone);
+  }
+  ServerFixture fx({}, scfg);
+  auto client = fx.client();
+
+  // A store hit, a computed job, a memory-cache hit and a failed job.
+  ASSERT_EQ(client.post("/v1/jobs", submit_body("4gt11", 7)).status, 202);
+  ASSERT_EQ(poll_until_terminal(client, 1), "done");
+  ASSERT_EQ(client.post("/v1/jobs", submit_body("4mod5")).status, 202);
+  ASSERT_EQ(poll_until_terminal(client, 2), "done");
+  ASSERT_EQ(client.post("/v1/jobs", submit_body("4mod5")).status, 202);
+  ASSERT_EQ(poll_until_terminal(client, 3), "done");
+  ASSERT_EQ(client.post("/v1/jobs", submit_body("4mod5", 2025, 64,
+                                                "stabilizer"))
+                .status,
+            202);
+  ASSERT_EQ(poll_until_terminal(client, 4), "failed");
+  // A 404 from the router and a 411 protocol reject from the reactor.
+  EXPECT_EQ(client.get("/nope").status, 404);
+  const std::string wire = client.raw_exchange(
+      "POST /v1/jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n");
+  EXPECT_EQ(wire.rfind("HTTP/1.1 411", 0), 0u) << wire;
+  // Pool tasks finish just after their job turns terminal; wait for the
+  // pool to go idle so its counters hold still between the two scrapes.
+  for (int i = 0; i < 3000; ++i) {
+    const auto pool = fx.service().pool_stats();
+    if (pool.completed == pool.submitted && pool.active == 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // Both views through the router directly, so the reactor's counters hold
+  // still too: the /metrics scrape differs from the status document only by
+  // the status request itself.
+  http::Request request;
+  request.method = "GET";
+  request.version = "HTTP/1.1";
+  request.target = request.path = "/v1/status";
+  const http::Response status_res = fx.server().handle(request);
+  request.target = request.path = "/metrics";
+  const http::Response metrics_res = fx.server().handle(request);
+  ASSERT_EQ(status_res.status, 200);
+  ASSERT_EQ(metrics_res.status, 200);
+  const json::Value status = json::parse(status_res.body);
+  EXPECT_EQ(status.at("schema").as_string(), "tetrislock.status.v2");
+
+  std::map<std::string, double> in_status = status_series(status);
+  const std::map<std::string, double> in_exposition =
+      exposition_series(metrics_res.body);
+  const std::string status_route =
+      "tetris_http_requests_total{route=\"/v1/status\",class=\"2xx\"}";
+  ASSERT_EQ(in_status.count(status_route), 1u);
+  in_status[status_route] += 1;
+  EXPECT_EQ(in_status, in_exposition);
+
+  // The scenario reached every counter it was meant to.
+  EXPECT_EQ(status_metric(status, "tetris_store_hits_total"), 1);
+  EXPECT_EQ(status_metric(status, "tetris_store_writes_total"), 1);
+  EXPECT_EQ(status_metric(status, "tetris_cache_hits_total"), 1);
+  EXPECT_EQ(status_metric(status, "tetris_jobs_terminal_total",
+                          {{"backend", "stabilizer"}, {"state", "failed"}}),
+            1);
+  EXPECT_EQ(status_metric(status, "tetris_http_requests_total",
+                          {{"route", "other"}, {"class", "4xx"}}),
+            1);
+  EXPECT_EQ(status_metric(status, "tetris_http_responses_total",
+                          {{"class", "4xx"}}),
+            2);
+
+  // Every engine the document lists has both terminal series.
+  for (const auto& [engine, caps] : status.at("backends").as_object()) {
+    (void)caps;
+    for (const char* state : {"done", "failed"}) {
+      EXPECT_EQ(in_exposition.count(
+                    "tetris_jobs_terminal_total{backend=\"" + engine +
+                    "\",state=\"" + state + "\"}"),
+                1u)
+          << engine << " " << state;
+    }
+  }
 }
 
 TEST(NetServer, BackendConfigEchoAndValidation) {
@@ -709,10 +888,11 @@ TEST(NetProtocol, KeepAliveServesManyRequestsOnOneConnection) {
   }
   // Both sides agree the whole burst cost exactly one socket.
   EXPECT_EQ(client.connections_opened(), 1u);
-  ServerCounters counters = fx.server().counters();
-  EXPECT_EQ(counters.connections, 1u);
-  EXPECT_EQ(counters.requests, static_cast<std::uint64_t>(kRequests));
-  EXPECT_EQ(counters.keepalive_reuses,
+  const obs::Registry& telemetry = fx.server().telemetry();
+  EXPECT_EQ(metric(telemetry, "tetris_http_connections_total"), 1u);
+  EXPECT_EQ(metric(telemetry, "tetris_http_requests_total"),
+            static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(metric(telemetry, "tetris_http_keepalive_reuses_total"),
             static_cast<std::uint64_t>(kRequests - 1));
 
   // A keep-alive-disabled client pays one connection per request.
@@ -735,16 +915,16 @@ TEST(NetProtocol, PipelinedRequestsAnsweredInOrder) {
   auto responses = split_responses(wire);
   ASSERT_EQ(responses.size(), 3u);
   EXPECT_EQ(responses[0].first, 200);
-  EXPECT_NE(responses[0].second.find("tetrislock.status.v1"),
+  EXPECT_NE(responses[0].second.find("tetrislock.status.v2"),
             std::string::npos);
   EXPECT_EQ(responses[1].first, 404);
   EXPECT_NE(responses[1].second.find("999"), std::string::npos);
   EXPECT_EQ(responses[2].first, 404);
   // One socket, three requests, two of them keep-alive reuses.
-  ServerCounters counters = fx.server().counters();
-  EXPECT_EQ(counters.connections, 1u);
-  EXPECT_EQ(counters.requests, 3u);
-  EXPECT_EQ(counters.keepalive_reuses, 2u);
+  const obs::Registry& telemetry = fx.server().telemetry();
+  EXPECT_EQ(metric(telemetry, "tetris_http_connections_total"), 1u);
+  EXPECT_EQ(metric(telemetry, "tetris_http_requests_total"), 3u);
+  EXPECT_EQ(metric(telemetry, "tetris_http_keepalive_reuses_total"), 2u);
 }
 
 TEST(NetProtocol, ConnectionCloseRequestIsHonored) {
@@ -775,7 +955,8 @@ TEST(NetProtocol, MaxRequestsPerConnectionClosesAtTheCap) {
     EXPECT_EQ(client.get("/v1/status").status, 200);
   }
   EXPECT_EQ(client.connections_opened(), 3u);
-  EXPECT_EQ(fx.server().counters().requests, 7u);
+  EXPECT_EQ(metric(fx.server().telemetry(), "tetris_http_requests_total"),
+            7u);
 }
 
 TEST(NetProtocol, ProtocolErrorsCloseCleanlyMidStream) {
@@ -867,7 +1048,9 @@ TEST(NetProtocol, SlowLorisEvictedWithoutStallingOthers) {
     }
   }
   EXPECT_TRUE(evicted);
-  EXPECT_GE(fx.server().counters().idle_evictions, 1u);
+  EXPECT_GE(
+      metric(fx.server().telemetry(), "tetris_http_idle_evictions_total"),
+      1u);
 }
 
 TEST(NetProtocol, IdleKeepAliveConnectionIsEvicted) {
@@ -881,7 +1064,9 @@ TEST(NetProtocol, IdleKeepAliveConnectionIsEvicted) {
   // Wait out the idle timeout with no request in flight: the server drops
   // the connection silently (no response owed on an idle keep-alive conn).
   std::this_thread::sleep_for(std::chrono::milliseconds(700));
-  EXPECT_GE(fx.server().counters().idle_evictions, 1u);
+  EXPECT_GE(
+      metric(fx.server().telemetry(), "tetris_http_idle_evictions_total"),
+      1u);
 
   // The client notices the stale connection and transparently reconnects.
   EXPECT_EQ(client.get("/v1/status").status, 200);
@@ -1020,11 +1205,9 @@ TEST(NetDispatch, ShardedSubmitProxiesByteIdenticalResults) {
   EXPECT_EQ(artifact.body, svc.artifact_bytes(svc.handle(1)));
 
   // Exactly one node owns the job.
-  std::uint64_t routed_total = 0;
-  for (const auto& node : fx.dispatcher().node_counters()) {
-    routed_total += node.jobs_routed;
-  }
-  EXPECT_EQ(routed_total, 1u);
+  EXPECT_EQ(metric(fx.dispatcher().telemetry(),
+                   "tetris_dispatch_jobs_routed_total"),
+            1u);
 }
 
 TEST(NetDispatch, ValidationErrorsComeFromTheOwningNode) {
@@ -1062,13 +1245,19 @@ TEST(NetDispatch, NodeFailureYields502AndSurvivorsComplete) {
   }
 
   // Kill the busiest node mid-run.
-  auto before = fx.dispatcher().node_counters();
-  ASSERT_EQ(before.size(), 3u);
+  const auto& urls = fx.dispatcher().config().nodes;
+  ASSERT_EQ(urls.size(), 3u);
+  std::vector<std::uint64_t> before;
+  for (const std::string& url : urls) {
+    before.push_back(metric(fx.dispatcher().telemetry(),
+                            "tetris_dispatch_jobs_routed_total",
+                            {{"node", url}}));
+  }
   std::size_t victim = 0;
   for (std::size_t i = 1; i < before.size(); ++i) {
-    if (before[i].jobs_routed > before[victim].jobs_routed) victim = i;
+    if (before[i] > before[victim]) victim = i;
   }
-  ASSERT_GT(before[victim].jobs_routed, 0u);
+  ASSERT_GT(before[victim], 0u);
   fx.server(victim).stop();
 
   // The dead node's jobs answer a structured 502; every other job still
@@ -1088,7 +1277,7 @@ TEST(NetDispatch, NodeFailureYields502AndSurvivorsComplete) {
       ++served;
     }
   }
-  EXPECT_EQ(failed, before[victim].jobs_routed);
+  EXPECT_EQ(failed, before[victim]);
   EXPECT_EQ(served, benchmark_of.size() - failed);
   ASSERT_FALSE(victim_benchmark.empty());
 
@@ -1104,24 +1293,26 @@ TEST(NetDispatch, NodeFailureYields502AndSurvivorsComplete) {
   auto status = client.get("/v1/status");
   ASSERT_EQ(status.status, 200);
   auto doc = json::parse(status.body);
-  EXPECT_EQ(doc.at("schema").as_string(), "tetrislock.dispatch_status.v1");
+  EXPECT_EQ(doc.at("schema").as_string(), "tetrislock.dispatch_status.v2");
   const auto& nodes = doc.at("nodes");
   ASSERT_EQ(nodes.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     const auto& node = nodes.as_array()[i];
-    if (i == victim) {
-      EXPECT_FALSE(node.at("reachable").as_bool());
+    const bool alive = i != victim;
+    EXPECT_EQ(node.at("reachable").as_bool(), alive);
+    EXPECT_EQ(status_metric(doc, "tetris_dispatch_node_up",
+                            {{"node", urls[i]}}),
+              alive ? 1 : 0);
+    if (!alive) {
       EXPECT_NE(node.find("error"), nullptr);
       EXPECT_EQ(node.find("status"), nullptr);
     } else {
-      EXPECT_TRUE(node.at("reachable").as_bool());
       EXPECT_EQ(node.at("status").at("schema").as_string(),
-                "tetrislock.status.v1");
+                "tetrislock.status.v2");
     }
   }
-  EXPECT_EQ(doc.at("dispatcher").at("nodes").as_int(), 3);
   // The failed resubmit never counted as routed.
-  EXPECT_EQ(doc.at("dispatcher").at("jobs_routed").as_int(),
+  EXPECT_EQ(status_metric(doc, "tetris_dispatch_jobs_routed_total"),
             static_cast<std::int64_t>(benchmark_of.size()));
 }
 
@@ -1144,21 +1335,29 @@ TEST(NetDispatch, ConsistentHashAffinityKeepsNodeCachesHot) {
     }
     return ids;
   };
-  auto cache_counters = [&](const char* key) {
+  auto cache_counters = [&](const char* family) {
     std::vector<std::int64_t> out;
     auto doc = json::parse(client.get("/v1/status").body);
     for (std::size_t i = 0; i < doc.at("nodes").size(); ++i) {
-      out.push_back(doc.at("nodes").as_array()[i].at("status").at("cache")
-                        .at(key)
-                        .as_int());
+      out.push_back(
+          status_metric(doc.at("nodes").as_array()[i].at("status"), family));
+    }
+    return out;
+  };
+  auto routed = [&fx]() {
+    std::vector<std::uint64_t> out;
+    for (const std::string& url : fx.dispatcher().config().nodes) {
+      out.push_back(metric(fx.dispatcher().telemetry(),
+                           "tetris_dispatch_jobs_routed_total",
+                           {{"node", url}}));
     }
     return out;
   };
 
   // Pass 1: all cold — every job is a per-node cache miss.
   submit_all();
-  auto misses_after_first = cache_counters("misses");
-  auto hits_after_first = cache_counters("hits");
+  auto misses_after_first = cache_counters("tetris_cache_misses_total");
+  auto hits_after_first = cache_counters("tetris_cache_hits_total");
   std::int64_t total_misses = 0;
   for (std::size_t i = 0; i < 3; ++i) {
     total_misses += misses_after_first[i];
@@ -1166,13 +1365,13 @@ TEST(NetDispatch, ConsistentHashAffinityKeepsNodeCachesHot) {
   }
   EXPECT_EQ(total_misses,
             static_cast<std::int64_t>(shard_benchmarks().size()));
-  auto routed_after_first = fx.dispatcher().node_counters();
+  auto routed_after_first = routed();
 
   // Pass 2: identical submissions ride the ring back to the same nodes, so
   // each node's second-pass hits equal its first-pass misses.
   auto second_ids = submit_all();
-  auto misses_after_second = cache_counters("misses");
-  auto hits_after_second = cache_counters("hits");
+  auto misses_after_second = cache_counters("tetris_cache_misses_total");
+  auto hits_after_second = cache_counters("tetris_cache_hits_total");
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(hits_after_second[i], misses_after_first[i]) << "node " << i;
     EXPECT_EQ(misses_after_second[i], misses_after_first[i]) << "node " << i;
@@ -1184,10 +1383,9 @@ TEST(NetDispatch, ConsistentHashAffinityKeepsNodeCachesHot) {
     EXPECT_TRUE(doc.at("cache_hit").as_bool()) << "job " << id;
   }
   // Routing doubled per node, exactly.
-  auto routed_after_second = fx.dispatcher().node_counters();
+  auto routed_after_second = routed();
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(routed_after_second[i].jobs_routed,
-              2 * routed_after_first[i].jobs_routed)
+    EXPECT_EQ(routed_after_second[i], 2 * routed_after_first[i])
         << "node " << i;
   }
 }

@@ -340,6 +340,41 @@ TEST(ObsRender, MergesSameNameFamiliesIntoOneBlock) {
   EXPECT_TRUE(errors.empty()) << errors.front();
 }
 
+TEST(ObsRender, JsonMergesFamiliesLikeTheExposition) {
+  Registry a;
+  a.counter("shared_total", "S.", {{"src", "a"}}).inc();
+  a.gauge("depth", "D.").set(2.5);
+  a.histogram("d_seconds", "D.", {0.1}).observe(0.05);
+  Registry other;
+  other.counter("shared_total", "S.", {{"src", "b"}}).inc(2);
+  auto families = a.collect();
+  auto more = other.collect();
+  families.insert(families.end(), more.begin(), more.end());
+
+  json::Writer w(0);
+  write_json(w, families);
+  const json::Value doc = json::parse(w.str());
+  ASSERT_EQ(doc.size(), 3u);
+  const json::Value& shared = doc.at("shared_total");
+  EXPECT_EQ(shared.at("kind").as_string(), "counter");
+  ASSERT_EQ(shared.at("samples").size(), 2u);
+  EXPECT_EQ(shared.at("samples").as_array()[0].at("labels").at("src")
+                .as_string(),
+            "a");
+  EXPECT_EQ(shared.at("samples").as_array()[1].at("value").as_int(), 2);
+  EXPECT_DOUBLE_EQ(
+      doc.at("depth").at("samples").as_array()[0].at("value").as_number(),
+      2.5);
+  const json::Value& hist = doc.at("d_seconds").at("samples").as_array()[0];
+  EXPECT_EQ(hist.at("count").as_int(), 1);
+  EXPECT_DOUBLE_EQ(hist.at("sum").as_number(), 0.05);
+  EXPECT_EQ(hist.find("value"), nullptr);
+
+  EXPECT_DOUBLE_EQ(sum_samples(families, "shared_total"), 3.0);
+  EXPECT_DOUBLE_EQ(sum_samples(families, "shared_total", {{"src", "b"}}), 2.0);
+  EXPECT_DOUBLE_EQ(sum_samples(families, "absent_total"), 0.0);
+}
+
 TEST(ObsRender, HistogramLinesAreCumulativeWithInfEqualCount) {
   Registry reg;
   Histogram& h = reg.histogram("d_seconds", "D.", {0.1, 1.0});
@@ -437,6 +472,34 @@ TEST(ObsService, TraceCoversPipelineAndStaysWithinJobSeconds) {
   // Spans run back-to-back inside the window Service measures as
   // JobOutcome::seconds, so their durations can never sum past it.
   EXPECT_LE(stage_sum, outcome.seconds + 1e-6);
+}
+
+/// The first span named `name` whose `view` attribute is `view`.
+const Span* find_view_span(const Trace& trace, const std::string& name,
+                           const std::string& view) {
+  for (const Span& span : trace.spans()) {
+    if (span.name != name) continue;
+    for (const auto& [key, value] : span.attrs) {
+      if (key == "view" && value == view) return &span;
+    }
+  }
+  return nullptr;
+}
+
+TEST(ObsService, ObfuscatedCompileIsChargedToCompileNotSampling) {
+  service::Service svc(obs_service_config());
+  const auto outcome = svc.submit(obs_job()).wait();
+  ASSERT_EQ(outcome.state, service::JobState::kDone);
+  ASSERT_NE(find_view_span(outcome.trace, "compile", "baseline"), nullptr);
+  const Span* compile =
+      find_view_span(outcome.trace, "compile", "obfuscated");
+  const Span* sample =
+      find_view_span(outcome.trace, "sim.sample", "obfuscated");
+  ASSERT_NE(compile, nullptr);
+  ASSERT_NE(sample, nullptr);
+  // The masked circuit's compile closes before its sampling opens.
+  EXPECT_LE(compile->start_seconds + compile->duration_seconds,
+            sample->start_seconds + 1e-9);
 }
 
 TEST(ObsService, CacheHitTraceSkipsPipelineStages) {
@@ -564,21 +627,44 @@ TEST(ObsServer, TraceEndpointGatesOnTerminalState) {
   EXPECT_GE(doc.at("spans").as_array().size(), 6u);
 }
 
+/// The value of the `family` sample whose labels are exactly `labels`, read
+/// from the "metrics" block of a v2 status document.
+double status_sample(const json::Value& doc, const std::string& family,
+                     const Labels& labels = {}) {
+  const json::Value& samples =
+      doc.at("metrics").at(family).at("samples");
+  for (const json::Value& sample : samples.as_array()) {
+    Labels found;
+    for (const auto& [key, value] : sample.at("labels").as_object()) {
+      found.emplace_back(key, value.as_string());
+    }
+    if (found == labels) return sample.at("value").as_number();
+  }
+  ADD_FAILURE() << "no " << family << " sample with those labels";
+  return -1.0;
+}
+
 TEST(ObsServer, StatusReportsPoolRequestAndUptimeTelemetry) {
   RoutedServer srv;
   (void)srv.get("/v1/status");
   auto res = srv.get("/v1/status");
   ASSERT_EQ(res.status, 200);
   const json::Value doc = json::parse(res.body);
-  const json::Value& server = doc.at("server");
-  EXPECT_GT(server.at("started_unix").as_int(), 0);
-  EXPECT_GE(server.at("uptime_seconds").as_number(), 0.0);
+  EXPECT_EQ(doc.at("schema").as_string(), "tetrislock.status.v2");
+  EXPECT_GT(doc.at("started_unix").as_int(), 0);
+  EXPECT_GE(doc.at("uptime_seconds").as_number(), 0.0);
   // The first /v1/status GET above is already tallied by route and class.
-  EXPECT_GE(
-      server.at("requests_total").at("/v1/status").at("2xx").as_int(), 1);
-  const json::Value& pool = doc.at("job_pool");
-  EXPECT_EQ(pool.at("threads").as_int(), 2);
-  EXPECT_GE(pool.at("tasks_submitted").as_int(), 0);
+  EXPECT_GE(status_sample(doc, "tetris_http_requests_total",
+                          {{"route", "/v1/status"}, {"class", "2xx"}}),
+            1.0);
+  EXPECT_EQ(status_sample(doc, "tetris_pool_threads"), 2.0);
+  EXPECT_GE(status_sample(doc, "tetris_pool_tasks_submitted_total"), 0.0);
+  // Histograms carry count and sum instead of a value.
+  const json::Value& latency =
+      doc.at("metrics").at("tetris_http_request_seconds");
+  EXPECT_EQ(latency.at("kind").as_string(), "histogram");
+  EXPECT_NE(latency.at("samples").as_array()[0].find("count"), nullptr);
+  EXPECT_NE(latency.at("samples").as_array()[0].find("sum"), nullptr);
 }
 
 TEST(ObsServer, TelemetryOffKeepsEndpointsAndFreezesHttpSeries) {

@@ -17,7 +17,7 @@ FlowResult run_on(const std::string& name, const compiler::Target& target,
 }
 
 TEST(Pipeline, IdealBackendGivesPerfectRestoration) {
-  auto target = compiler::device_for(5);
+  auto target = compiler::device_for(5).target;
   target.noise = sim::NoiseModel::ideal();
   auto r = run_on("4mod5", target, 3);
   EXPECT_DOUBLE_EQ(r.accuracy_original, 1.0);
@@ -26,7 +26,7 @@ TEST(Pipeline, IdealBackendGivesPerfectRestoration) {
 }
 
 TEST(Pipeline, ObfuscatedOutputDiffersEvenIdeally) {
-  auto target = compiler::device_for(7);
+  auto target = compiler::device_for(7).target;
   target.noise = sim::NoiseModel::ideal();
   auto r = run_on("rd53", target, 5);
   ASSERT_GE(r.obf.random.size(), 1u);
@@ -36,7 +36,7 @@ TEST(Pipeline, ObfuscatedOutputDiffersEvenIdeally) {
 TEST(Pipeline, DepthNeverIncreases) {
   for (const auto& name : revlib::benchmark_names()) {
     auto target = compiler::device_for(
-        revlib::get_benchmark(name).circuit.num_qubits());
+        revlib::get_benchmark(name).circuit.num_qubits()).target;
     target.noise = sim::NoiseModel::ideal();
     auto r = run_on(name, target, 11, 64);
     EXPECT_EQ(r.depth_obfuscated, r.depth_original) << name;
@@ -44,7 +44,7 @@ TEST(Pipeline, DepthNeverIncreases) {
 }
 
 TEST(Pipeline, GateOverheadWithinPaperBand) {
-  auto target = compiler::device_for(5);
+  auto target = compiler::device_for(5).target;
   target.noise = sim::NoiseModel::ideal();
   auto r = run_on("4mod5", target, 17, 64);
   std::size_t inserted = r.gates_obfuscated - r.gates_original;
@@ -52,7 +52,7 @@ TEST(Pipeline, GateOverheadWithinPaperBand) {
 }
 
 TEST(Pipeline, NoisyBackendKeepsRestoredAccuracyHigh) {
-  auto target = compiler::device_for(5);  // fake_valencia noise
+  auto target = compiler::device_for(5).target;  // fake_valencia noise
   auto r = run_on("1bit_adder", target, 23, 1000);
   EXPECT_GT(r.accuracy_restored, 0.8);
   EXPECT_GT(r.accuracy_original, 0.8);
@@ -63,14 +63,14 @@ TEST(Pipeline, NoisyBackendKeepsRestoredAccuracyHigh) {
 }
 
 TEST(Pipeline, ObfuscatedTvdExceedsRestoredTvd) {
-  auto target = compiler::device_for(7);
+  auto target = compiler::device_for(7).target;
   auto r = run_on("rd53", target, 29, 600);
   ASSERT_GE(r.obf.random.size(), 1u);
   EXPECT_GT(r.tvd_obfuscated, r.tvd_restored);
 }
 
 TEST(Pipeline, ResultCarriesArtifacts) {
-  auto target = compiler::device_for(5);
+  auto target = compiler::device_for(5).target;
   target.noise = sim::NoiseModel::ideal();
   auto r = run_on("4gt13", target, 31, 64);
   EXPECT_EQ(r.obf.original.gate_count(), 4u);
@@ -80,7 +80,7 @@ TEST(Pipeline, ResultCarriesArtifacts) {
 }
 
 TEST(Pipeline, DeterministicForFixedSeed) {
-  auto target = compiler::device_for(5);
+  auto target = compiler::device_for(5).target;
   auto a = run_on("4mod5", target, 101, 200);
   auto b = run_on("4mod5", target, 101, 200);
   EXPECT_EQ(a.tvd_obfuscated, b.tvd_obfuscated);

@@ -80,7 +80,7 @@ TEST(LookaheadRouting, FunctionPreservedAcrossSeeds) {
 
 TEST(LookaheadRouting, CompilerIntegration) {
   const auto& b = revlib::get_benchmark("rd53");
-  auto target = device_for(b.circuit.num_qubits());
+  auto target = device_for(b.circuit.num_qubits()).target;
   CompileOptions opts{target, LayoutStrategy::GreedyDegree, true, std::nullopt};
   opts.routing = lookahead();
   auto result = Compiler(opts).compile(b.circuit);
@@ -93,7 +93,7 @@ TEST(LookaheadRouting, CompilerIntegration) {
 
 TEST(CommutationInCompiler, ReducesGateCount) {
   const auto& b = revlib::get_benchmark("4gt11");
-  auto target = device_for(b.circuit.num_qubits());
+  auto target = device_for(b.circuit.num_qubits()).target;
   CompileOptions with{target, LayoutStrategy::GreedyDegree, true, std::nullopt};
   with.use_commutation = true;
   CompileOptions without = with;

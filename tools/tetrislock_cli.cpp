@@ -119,6 +119,7 @@
 #include "net/client.h"
 #include "net/dispatch.h"
 #include "net/server.h"
+#include "obs/registry.h"
 #include "obs/trace.h"
 #include "qir/qasm.h"
 #include "qir/render.h"
@@ -315,13 +316,22 @@ void print_cache_stats(const service::CacheStats& stats) {
             << stats.entries << "/" << stats.capacity << " entries\n";
 }
 
+/// A counter or gauge total from a registry snapshot, for summary lines.
+std::uint64_t metric(const std::vector<obs::Family>& families,
+                     const char* name, const obs::Labels& match = {}) {
+  return static_cast<std::uint64_t>(obs::sum_samples(families, name, match));
+}
+
 void print_store_stats(const service::Service& svc) {
   const service::ArtifactStore* store = svc.artifact_store();
   if (store == nullptr) return;
-  const service::ArtifactStoreStats s = store->stats();
-  std::cout << "store: " << s.hits << " hits, " << s.misses << " misses, "
-            << s.writes << " writes, " << s.corrupt << " corrupt, "
-            << s.evictions << " evictions, " << s.entries << " artifacts in "
+  const auto m = svc.telemetry().collect();
+  std::cout << "store: " << metric(m, "tetris_store_hits_total") << " hits, "
+            << metric(m, "tetris_store_misses_total") << " misses, "
+            << metric(m, "tetris_store_writes_total") << " writes, "
+            << metric(m, "tetris_store_corrupt_total") << " corrupt, "
+            << metric(m, "tetris_store_evictions_total") << " evictions, "
+            << metric(m, "tetris_store_entries") << " artifacts in "
             << store->config().dir << "\n";
 }
 
@@ -497,17 +507,18 @@ int cmd_protect_batch(const Options& o) {
                           std::chrono::steady_clock::now() - start)
                           .count();
 
+  const unsigned threads = svc.pool_stats().threads;
   std::cout << "\nbatch: " << jobs.size() << " circuits, " << failures
             << " failed, " << depth_violations << " depth violations, "
             << fmt_double(wall, 3) << "s wall, "
             << fmt_double(wall > 0.0 ? jobs.size() / wall : 0.0, 2)
-            << " circuits/s on " << svc.threads() << " threads\n";
+            << " circuits/s on " << threads << " threads\n";
   const auto cache = svc.cache_stats();
   if (o.has("cache")) print_cache_stats(cache);
   print_store_stats(svc);
 
   if (o.has("out-json")) {
-    write_or_print(service::batch_to_json(outcomes, svc.threads(), wall,
+    write_or_print(service::batch_to_json(outcomes, threads, wall,
                                       o.has("cache") ? &cache : nullptr),
                o.get("out-json"));
   }
@@ -519,7 +530,7 @@ int cmd_protect(const Options& o) {
   std::vector<int> measured;
   auto circuit = load_circuit(o, &measured);
   const auto seed = static_cast<std::uint64_t>(o.get_long("seed", 2025, 0));
-  auto selection = compiler::device_for_checked(circuit.num_qubits());
+  auto selection = compiler::device_for(circuit.num_qubits());
   const auto target = selection.target;
   if (selection.fallback) {
     std::cerr << "warning: " << selection.note << "\n";
@@ -630,10 +641,10 @@ int cmd_serve(const Options& o) {
   }
   std::cout << "shutting down\n";
   server.stop();
-  const auto counters = server.counters();
-  std::cout << "served " << counters.requests << " requests over "
-            << counters.connections << " connections; "
-            << svc.jobs_submitted() << " jobs submitted\n";
+  const auto m = server.telemetry().collect();
+  std::cout << "served " << metric(m, "tetris_http_requests_total")
+            << " requests over " << metric(m, "tetris_http_connections_total")
+            << " connections; " << svc.jobs_submitted() << " jobs submitted\n";
   print_store_stats(svc);
   return 0;
 }
@@ -679,12 +690,17 @@ int cmd_dispatch(const Options& o) {
   }
   std::cout << "shutting down\n";
   dispatcher.stop();
-  const auto counters = dispatcher.counters();
-  std::cout << "served " << counters.requests << " requests over "
-            << counters.connections << " connections\n";
-  for (const auto& node : dispatcher.node_counters()) {
-    std::cout << "  " << node.url << ": " << node.jobs_routed
-              << " jobs routed, " << node.upstream_failures
+  const auto m = dispatcher.telemetry().collect();
+  std::cout << "served " << metric(m, "tetris_dispatch_requests_total")
+            << " requests over "
+            << metric(m, "tetris_dispatch_connections_total")
+            << " connections\n";
+  for (const std::string& url : cfg.nodes) {
+    const obs::Labels node = {{"node", url}};
+    std::cout << "  " << url << ": "
+              << metric(m, "tetris_dispatch_jobs_routed_total", node)
+              << " jobs routed, "
+              << metric(m, "tetris_dispatch_upstream_failures_total", node)
               << " upstream failures\n";
   }
   return 0;
