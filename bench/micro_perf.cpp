@@ -11,6 +11,7 @@
 #include "lock/obfuscator.h"
 #include "lock/pipeline.h"
 #include "lock/splitter.h"
+#include "qir/library.h"
 #include "revlib/benchmarks.h"
 #include "runtime/thread_pool.h"
 #include "sim/fusion.h"
@@ -43,6 +44,45 @@ void BM_StateVectorCxChain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * (n - 1));
 }
 BENCHMARK(BM_StateVectorCxChain)->Arg(5)->Arg(10)->Arg(12)->Arg(16);
+
+// One permutation gate per iteration on the serial path: range(0) = 0 CX,
+// 1 CCX, 2 SWAP; range(1) = qubits. Placements cycle over every adjacent
+// wire window in both orders, so the reported time is the mean per-gate
+// cost over low, middle and top wires.
+void BM_StateVectorPermutation(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(1));
+  std::vector<qir::Gate> gates;
+  for (int q = 0; q + 2 < n; ++q) {
+    switch (state.range(0)) {
+      case 0:
+        gates.push_back(qir::make_cx(q, q + 1));
+        gates.push_back(qir::make_cx(q + 2, q));
+        break;
+      case 1:
+        gates.push_back(qir::make_ccx(q, q + 1, q + 2));
+        gates.push_back(qir::make_ccx(q + 2, q + 1, q));
+        break;
+      default:
+        gates.push_back(qir::make_swap(q, q + 1));
+        gates.push_back(qir::make_swap(q + 2, q));
+        break;
+    }
+  }
+  sim::StateVector sv(n);
+  sv.set_parallel_threshold(n + 1);  // pin the serial kernels
+  for (int q = 0; q < n; ++q) sv.apply_gate(qir::make_h(q));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    sv.apply_gate(gates[i]);
+    i = i + 1 == gates.size() ? 0 : i + 1;
+    benchmark::DoNotOptimize(sv.amplitudes().data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StateVectorPermutation)
+    ->Args({0, 12})->Args({0, 14})
+    ->Args({1, 12})->Args({1, 14})
+    ->Args({2, 12})->Args({2, 14});
 
 // Parallel-kernel scaling: the same H layer, forced through the threaded
 // statevector path on a pool of range(1) workers. Compare against
@@ -139,6 +179,29 @@ void BM_NoisySampling(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_NoisySampling)->Arg(100)->Arg(1000);
+
+// One 1000-shot noisy sample of a compiled view on one thread: range(0) = 0
+// rd84 (12 qubits, unfused), 1 the 14-qubit ripple-carry adder (fused) —
+// the errored-trajectory replay the suite and wide flows spend their time in.
+void BM_SampleCompiledView(benchmark::State& state) {
+  const bool adder = state.range(0) == 1;
+  const qir::Circuit circuit = adder ? qir::library::ripple_carry_adder(6)
+                                     : revlib::get_benchmark("rd84").circuit;
+  auto target = compiler::device_for(circuit.num_qubits()).target;
+  compiler::Compiler comp(
+      {target, compiler::LayoutStrategy::GreedyDegree, true, std::nullopt});
+  const auto compiled = comp.compile(circuit);
+  sim::SampleOptions opts;
+  opts.shots = 1000;
+  opts.threads = 1;
+  opts.fuse = adder;
+  for (auto _ : state) {
+    Rng rng(1);
+    auto counts = sim::sample(compiled.circuit, target.noise, rng, opts);
+    benchmark::DoNotOptimize(counts.shots);
+  }
+}
+BENCHMARK(BM_SampleCompiledView)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_CompileBenchmark(benchmark::State& state) {
   const auto& all = revlib::table1_benchmarks();

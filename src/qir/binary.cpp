@@ -32,6 +32,7 @@ Circuit read_circuit(ByteReader& r) {
   Circuit circuit(static_cast<int>(num_qubits), std::move(name));
 
   const std::uint32_t gates = r.count("circuit gate count", kMaxCircuitGates);
+  circuit.reserve(gates);
   for (std::uint32_t i = 0; i < gates; ++i) {
     const std::uint8_t kind = r.u8("gate kind");
     if (kind > kMaxGateKind) {

@@ -26,12 +26,16 @@ void Circuit::validate(const Gate& g) const {
   TETRIS_REQUIRE(static_cast<int>(g.params.size()) == pc,
                  "gate '" + g.name() + "' expects " + std::to_string(pc) +
                      " params, got " + std::to_string(g.params.size()));
-  std::set<int> seen;
-  for (int q : g.qubits) {
+  // Gates touch a handful of qubits, so a scan of the earlier ones finds a
+  // repeat without the per-gate allocations of a set; decoding a stored
+  // result validates every gate this way.
+  const auto first = g.qubits.begin();
+  for (auto it = first; it != g.qubits.end(); ++it) {
+    const int q = *it;
     TETRIS_REQUIRE(q >= 0 && q < num_qubits_,
                    "qubit index " + std::to_string(q) + " out of range for " +
                        std::to_string(num_qubits_) + "-qubit circuit");
-    TETRIS_REQUIRE(seen.insert(q).second,
+    TETRIS_REQUIRE(std::find(first, it, q) == it,
                    "gate '" + g.name() + "' repeats qubit " + std::to_string(q));
   }
 }

@@ -34,6 +34,8 @@ class Circuit {
   bool empty() const { return gates_.empty(); }
 
   const std::vector<Gate>& gates() const { return gates_; }
+  /// Reserves room for `n` gates (a decoder that knows the count up front).
+  void reserve(std::size_t n) { gates_.reserve(n); }
   const Gate& gate(std::size_t i) const { return gates_.at(i); }
 
   /// Validates arity/qubit-range/distinctness and appends the gate.

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <iterator>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "common/error.h"
@@ -18,22 +20,23 @@ struct KindInfo {
 };
 
 const KindInfo& info(GateKind k) {
-  static const std::unordered_map<GateKind, KindInfo> table = {
-      {GateKind::I, {"id", 1, 0}},       {GateKind::X, {"x", 1, 0}},
-      {GateKind::Y, {"y", 1, 0}},        {GateKind::Z, {"z", 1, 0}},
-      {GateKind::H, {"h", 1, 0}},        {GateKind::S, {"s", 1, 0}},
-      {GateKind::Sdg, {"sdg", 1, 0}},    {GateKind::T, {"t", 1, 0}},
-      {GateKind::Tdg, {"tdg", 1, 0}},    {GateKind::SX, {"sx", 1, 0}},
-      {GateKind::SXdg, {"sxdg", 1, 0}},  {GateKind::RX, {"rx", 1, 1}},
-      {GateKind::RY, {"ry", 1, 1}},      {GateKind::RZ, {"rz", 1, 1}},
-      {GateKind::P, {"p", 1, 1}},        {GateKind::CX, {"cx", 2, 0}},
-      {GateKind::CY, {"cy", 2, 0}},      {GateKind::CZ, {"cz", 2, 0}},
-      {GateKind::CH, {"ch", 2, 0}},      {GateKind::CP, {"cp", 2, 1}},
-      {GateKind::CRZ, {"crz", 2, 1}},    {GateKind::SWAP, {"swap", 2, 0}},
-      {GateKind::CCX, {"ccx", 3, 0}},    {GateKind::CSWAP, {"cswap", 3, 0}},
-      {GateKind::MCX, {"mcx", -1, 0}},   {GateKind::Barrier, {"barrier", -1, 0}},
+  // Indexed by the enum value, in declaration order: Circuit::validate looks
+  // a kind up twice per gate, so this stays a plain array read.
+  static constexpr KindInfo kTable[] = {
+      {"id", 1, 0},   {"x", 1, 0},    {"y", 1, 0},     {"z", 1, 0},
+      {"h", 1, 0},    {"s", 1, 0},    {"sdg", 1, 0},   {"t", 1, 0},
+      {"tdg", 1, 0},  {"sx", 1, 0},   {"sxdg", 1, 0},  {"rx", 1, 1},
+      {"ry", 1, 1},   {"rz", 1, 1},   {"p", 1, 1},     {"cx", 2, 0},
+      {"cy", 2, 0},   {"cz", 2, 0},   {"ch", 2, 0},    {"cp", 2, 1},
+      {"crz", 2, 1},  {"swap", 2, 0}, {"ccx", 3, 0},   {"cswap", 3, 0},
+      {"mcx", -1, 0}, {"barrier", -1, 0},
   };
-  return table.at(k);
+  static_assert(std::size(kTable) ==
+                    static_cast<std::size_t>(GateKind::Barrier) + 1,
+                "one row per GateKind");
+  const auto index = static_cast<std::size_t>(k);
+  if (index >= std::size(kTable)) throw std::out_of_range("unknown GateKind");
+  return kTable[index];
 }
 
 }  // namespace

@@ -202,13 +202,12 @@ LoadResult ArtifactStore::load(const ArtifactKey& key) const {
   std::string bytes;
   if (!read_file(path_for(key), bytes)) return out;  // kMiss
   try {
-    Artifact artifact = decode_artifact(bytes);
-    if (artifact.key != key) {
+    if (decode_artifact(bytes).key != key) {
       // A renamed or cross-copied file: structurally valid, wrong identity.
       throw ParseError("artifact: embedded key does not match requested key");
     }
     out.status = LoadStatus::kHit;
-    out.result = std::move(artifact.result);
+    out.bytes = std::move(bytes);
   } catch (const ParseError&) {
     // Corrupt on disk: treated as a miss — the recompute path will
     // overwrite the bad file atomically.
@@ -218,9 +217,9 @@ LoadResult ArtifactStore::load(const ArtifactKey& key) const {
 }
 
 StoreResult ArtifactStore::store(const ArtifactKey& key,
-                                 const lock::FlowResult& result) const {
+                                 std::string_view bytes) const {
   StoreResult out;
-  out.written = write_file_atomic(path_for(key), encode_artifact(key, result));
+  out.written = write_file_atomic(path_for(key), bytes);
   if (out.written && config_.max_entries > 0) {
     out.evicted = evict_over_capacity();
   }

@@ -91,10 +91,12 @@ enum class LoadStatus {
   kCorrupt,  ///< a file that failed validation or embeds another key
 };
 
-/// Outcome of ArtifactStore::load; `result` is valid only for kHit.
+/// Outcome of ArtifactStore::load; `bytes` is set only for kHit.
 struct LoadResult {
   LoadStatus status = LoadStatus::kMiss;
-  lock::FlowResult result;
+  /// The file's bytes, fully decoded once and checked against the requested
+  /// key — the Service keeps them as the job's artifact.
+  std::string bytes;
 };
 
 /// Outcome of ArtifactStore::store.
@@ -128,11 +130,11 @@ class ArtifactStore {
   /// the filename is a convenience, the embedded key is the authority.
   LoadResult load(const ArtifactKey& key) const;
 
-  /// Persists (key, result), overwriting any existing artifact for the key,
-  /// then applies the max_entries bound. `written` is false (and nothing is
+  /// Persists `bytes` — encode_artifact(key, result), encoded once by the
+  /// caller — as the artifact for `key`, overwriting any existing file, then
+  /// applies the max_entries bound. `written` is false (and nothing is
   /// evicted) if the bytes could not be written.
-  StoreResult store(const ArtifactKey& key,
-                    const lock::FlowResult& result) const;
+  StoreResult store(const ArtifactKey& key, std::string_view bytes) const;
 
   /// Absolute-ish path an artifact for `key` lives at (whether or not it
   /// currently exists).

@@ -16,6 +16,15 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+/// Decodes a kDone job's artifact bytes into its outcome. Callers hold no
+/// service lock: the decode rebuilds several circuits.
+void attach_result(JobOutcome& out,
+                   const std::shared_ptr<const std::string>& artifact) {
+  if (out.state == JobState::kDone && artifact) {
+    out.result = decode_artifact(*artifact).result;
+  }
+}
+
 }  // namespace
 
 const char* status_code_name(StatusCode code) {
@@ -144,7 +153,7 @@ bool JobHandle::cancel() const {
 
 // ----------------------------------------------------------------- Service
 
-std::size_t Service::CacheKeyHash::operator()(const CacheKey& k) const {
+std::size_t Service::CacheKeyHash::operator()(const ArtifactKey& k) const {
   auto combine = [](std::uint64_t a, std::uint64_t b) {
     return a ^ (b + 0x9E3779B97F4A7C15ULL + (a << 6) + (a >> 2));
   };
@@ -273,13 +282,10 @@ void Service::execute(const std::shared_ptr<JobRecord>& record) {
   obs::Trace trace;
   const bool cache_enabled = config_.cache_capacity > 0;
   const bool store_enabled = store_ != nullptr;
-  CacheKey key;
-  std::shared_ptr<const lock::FlowResult> cached;
-  if (cache_enabled || store_enabled) {
-    key.circuit_hash = record->job.circuit.content_hash();
-    key.seed = record->seed;
-    key.fingerprint = flow_fingerprint(record->job);
-  }
+  // The job's own triple keys the cache and the store, and is embedded in
+  // the artifact bytes the finished record holds.
+  const ArtifactKey key = artifact_key(record->job, record->seed);
+  std::shared_ptr<const std::string> artifact;
   if (cache_enabled) {
     obs::ScopedSpan span(&trace, "cache.lookup");
     {
@@ -287,47 +293,46 @@ void Service::execute(const std::shared_ptr<JobRecord>& record) {
       auto it = cache_index_.find(key);
       if (it != cache_index_.end()) {
         lru_.splice(lru_.begin(), lru_, it->second);  // mark most recently used
-        cached = it->second->result;
+        artifact = it->second->artifact;
       }
     }
-    (cached ? cache_hits_ : cache_misses_)->inc();
-    span.attr("tier", "memory").attr("hit", cached ? "1" : "0");
+    (artifact ? cache_hits_ : cache_misses_)->inc();
+    span.attr("tier", "memory").attr("hit", artifact ? "1" : "0");
   }
-  const bool memory_hit = cached != nullptr;
+  const bool memory_hit = artifact != nullptr;
 
   // Memory miss -> disk tier. The load (file read + decode) runs outside
   // mutex_: artifact I/O must never serialize unrelated jobs.
-  if (!cached && store_enabled) {
+  if (!artifact && store_enabled) {
     obs::ScopedSpan span(&trace, "store.read");
-    LoadResult loaded =
-        store_->load({key.circuit_hash, key.seed, key.fingerprint});
+    LoadResult loaded = store_->load(key);
     store_loads_[static_cast<std::size_t>(loaded.status)]->inc();
     if (loaded.status == LoadStatus::kHit) {
-      cached = std::make_shared<const lock::FlowResult>(
-          std::move(loaded.result));
+      artifact = std::make_shared<const std::string>(std::move(loaded.bytes));
     }
-    span.attr("hit", cached ? "1" : "0");
+    span.attr("hit", artifact ? "1" : "0");
   }
+  const bool cache_hit = artifact != nullptr;
 
-  // The actual work happens outside any lock.
-  std::shared_ptr<const lock::FlowResult> result = cached;
+  // The actual work happens outside any lock; the result is encoded once,
+  // and those bytes are what the record, the cache and the store keep.
   ServiceStatus status;
-  if (!cached) {
+  if (!cache_hit) {
     try {
       Rng rng(record->seed);
-      result = std::make_shared<const lock::FlowResult>(lock::run_flow(
-          record->job.circuit, record->job.measured, record->job.target,
-          record->job.config, rng, &trace));
+      artifact = std::make_shared<const std::string>(encode_artifact(
+          key, lock::run_flow(record->job.circuit, record->job.measured,
+                              record->job.target, record->job.config, rng,
+                              &trace)));
     } catch (...) {
       status = ServiceStatus::from_current_exception();
     }
     // Persist before publishing, still outside mutex_ (the write is atomic
     // on the store's side). Failures are absorbed by the store — a broken
     // disk degrades durability, not the job.
-    if (result && store_enabled) {
+    if (artifact && store_enabled) {
       obs::ScopedSpan span(&trace, "store.write");
-      const StoreResult written = store_->store(
-          ArtifactKey{key.circuit_hash, key.seed, key.fingerprint}, *result);
+      const StoreResult written = store_->store(key, *artifact);
       if (written.written) store_writes_->inc();
       store_evictions_->inc(written.evicted);
     }
@@ -336,16 +341,16 @@ void Service::execute(const std::shared_ptr<JobRecord>& record) {
   // Every counter moves before the record turns terminal, so a caller
   // returning from wait() sees it.
   observe_stages(trace);
-  terminal_.at(record->resolved_backend)[result ? 0 : 1]->inc();
+  terminal_.at(record->resolved_backend)[artifact ? 0 : 1]->inc();
   std::lock_guard<std::mutex> lk(mutex_);
   record->trace = std::make_shared<const obs::Trace>(std::move(trace));
   record->seconds = seconds_since(start);
-  record->cache_hit = cached != nullptr;
-  if (result) {
+  record->cache_hit = cache_hit;
+  if (artifact) {
     // A disk hit is promoted so the next repeat stops in RAM; a fresh
     // result is cached. A memory hit is already resident.
-    if (cache_enabled && !memory_hit) cache_insert_locked(key, result);
-    record->result = std::move(result);
+    if (cache_enabled && !memory_hit) cache_insert_locked(key, artifact);
+    record->artifact = std::move(artifact);
     record->state = JobState::kDone;
   } else {
     record->status = status;
@@ -385,11 +390,10 @@ JobOutcome Service::outcome_locked(const JobRecord& record) const {
 JobOutcome Service::make_outcome(const std::shared_ptr<JobRecord>& record,
                                  std::unique_lock<std::mutex>& lk) const {
   JobOutcome out = outcome_locked(*record);
-  std::shared_ptr<const lock::FlowResult> result = record->result;
-  // The FlowResult deep copy (several circuits) happens without the lock;
-  // a terminal record's result pointer never changes.
+  // A terminal record's artifact pointer never changes.
+  std::shared_ptr<const std::string> artifact = record->artifact;
   lk.unlock();
-  if (out.state == JobState::kDone && result) out.result = *result;
+  attach_result(out, artifact);
   lk.lock();
   return out;
 }
@@ -408,8 +412,8 @@ JobState Service::poll(const JobHandle& handle) const {
 JobOutcome Service::outcome(const JobHandle& handle) const {
   auto record = find(handle.id());
   std::unique_lock<std::mutex> lk(mutex_);
-  // make_outcome copies the result only for terminal (kDone) records, where
-  // the result pointer is immutable; the drain cursor is never consulted.
+  // make_outcome decodes the result only for terminal (kDone) records,
+  // whose artifact pointer is immutable; the drain cursor is never consulted.
   return make_outcome(record, lk);
 }
 
@@ -446,12 +450,12 @@ std::size_t Service::drain(
     });
     if (drained_ != index) continue;  // a sibling drain delivered this job
     JobOutcome out = outcome_locked(*record);
-    auto result = record->result;
+    auto artifact = record->artifact;
     ++drained_;
     ++delivered;
     cv_.notify_all();  // wake sibling drains watching the cursor
-    lk.unlock();  // never hold the service lock across the copy or user code
-    if (out.state == JobState::kDone && result) out.result = *result;
+    lk.unlock();  // never hold the service lock across the decode or user code
+    attach_result(out, artifact);
     sink(out);
     lk.lock();
   }
@@ -486,12 +490,12 @@ CacheStats Service::cache_stats() const {
 }
 
 void Service::cache_insert_locked(
-    const CacheKey& key, std::shared_ptr<const lock::FlowResult> result) {
+    const ArtifactKey& key, std::shared_ptr<const std::string> artifact) {
   // Insert only if a concurrent job with the same triple didn't beat us to
   // it (cache stampede): a blind push would leave an unindexed duplicate in
   // lru_ whose eviction would erase the live entry's index.
   if (cache_index_.count(key) != 0) return;
-  lru_.push_front(CacheEntry{key, std::move(result)});
+  lru_.push_front(CacheEntry{key, std::move(artifact)});
   cache_index_[key] = lru_.begin();
   while (lru_.size() > config_.cache_capacity) {
     cache_index_.erase(lru_.back().key);
@@ -510,17 +514,15 @@ void Service::clear_cache() {
 
 std::string Service::artifact_bytes(const JobHandle& handle) const {
   auto record = find(handle.id());
-  std::shared_ptr<const lock::FlowResult> result;
+  std::shared_ptr<const std::string> artifact;
   {
     std::lock_guard<std::mutex> lk(mutex_);
-    if (record->state == JobState::kDone) result = record->result;
+    if (record->state == JobState::kDone) artifact = record->artifact;
   }
-  TETRIS_REQUIRE(result != nullptr,
+  TETRIS_REQUIRE(artifact != nullptr,
                  "Service: job " + std::to_string(handle.id()) +
                      " has no artifact (only kDone jobs do)");
-  // job and seed are immutable after submit, and the encode (several circuit
-  // copies) runs without the service lock.
-  return encode_artifact(artifact_key(record->job, record->seed), *result);
+  return *artifact;
 }
 
 runtime::ThreadPool::Stats Service::pool_stats() const {

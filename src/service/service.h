@@ -261,10 +261,12 @@ class Service {
 
   /// The versioned artifact encoding of a finished job: the
   /// docs/FORMATS.md envelope around its FlowResult, keyed with the job's
-  /// own (content hash, seed, fingerprint) triple. Encoded on the fly from
-  /// the in-memory result — available whether or not a store is configured,
-  /// and byte-identical to the store's file for the same job (the encoder is
-  /// deterministic). Throws InvalidArgument if the job is not kDone.
+  /// own (content hash, seed, fingerprint) triple. These are the bytes the
+  /// job record has held since the job finished — encoded once when it was
+  /// computed, or the cache's or store file's bytes on a hit — so they are
+  /// available whether or not a store is configured and byte-identical to
+  /// the store's file for the same job. Throws InvalidArgument if the job is
+  /// not kDone.
   std::string artifact_bytes(const JobHandle& handle) const;
 
   /// The disk artifact store, or nullptr when ServiceConfig::store_dir is
@@ -297,30 +299,24 @@ class Service {
     ServiceStatus status;
     bool cache_hit = false;
     double seconds = 0.0;
-    /// Shared with the cache; immutable once the record is terminal. Held by
-    /// pointer so completion and delivery are O(1) under the service mutex —
-    /// the per-outcome deep copy happens outside the lock.
-    std::shared_ptr<const lock::FlowResult> result;
+    /// A kDone job's result as its artifact bytes (encode_artifact under
+    /// the job's key), shared with the cache and immutable once the record
+    /// is terminal. Records are never dropped, so they keep these bytes
+    /// rather than a live FlowResult (a done 4mod5 job retains ~16 KB in
+    /// all instead of ~42 KB); each outcome decodes them outside the
+    /// service mutex.
+    std::shared_ptr<const std::string> artifact;
     /// Stage trace recorded by execute(); attached when the record turns
-    /// terminal and immutable afterwards (same discipline as `result`).
+    /// terminal and immutable afterwards (same discipline as `artifact`).
     std::shared_ptr<const obs::Trace> trace;
   };
 
-  struct CacheKey {
-    std::uint64_t circuit_hash = 0;
-    std::uint64_t seed = 0;
-    std::uint64_t fingerprint = 0;
-    bool operator==(const CacheKey& o) const {
-      return circuit_hash == o.circuit_hash && seed == o.seed &&
-             fingerprint == o.fingerprint;
-    }
-  };
   struct CacheKeyHash {
-    std::size_t operator()(const CacheKey& k) const;
+    std::size_t operator()(const ArtifactKey& k) const;
   };
   struct CacheEntry {
-    CacheKey key;
-    std::shared_ptr<const lock::FlowResult> result;
+    ArtifactKey key;
+    std::shared_ptr<const std::string> artifact;
   };
 
   runtime::ThreadPool& pool();
@@ -328,15 +324,15 @@ class Service {
   void execute(const std::shared_ptr<JobRecord>& record);
   /// Inserts a result (unless a concurrent job beat us to the key) and
   /// evicts past capacity; caller holds mutex_. The one insert site.
-  void cache_insert_locked(const CacheKey& key,
-                           std::shared_ptr<const lock::FlowResult> result);
+  void cache_insert_locked(const ArtifactKey& key,
+                           std::shared_ptr<const std::string> artifact);
   /// Collector: values other objects own live (pool stats, store files).
   /// Takes no service mutex.
   void collect_live(std::vector<obs::Family>& out) const;
   /// Records every span of a finished trace into the per-stage histograms.
   void observe_stages(const obs::Trace& trace);
   /// Copies the metadata fields only; the result is attached by
-  /// make_outcome, which drops the lock for the deep copy.
+  /// make_outcome, which drops the lock to decode the artifact bytes.
   JobOutcome outcome_locked(const JobRecord& record) const;
   JobOutcome make_outcome(const std::shared_ptr<JobRecord>& record,
                           std::unique_lock<std::mutex>& lk) const;
@@ -357,7 +353,8 @@ class Service {
   // LRU result cache: most-recently-used at the front of lru_, with an index
   // into it by key. Guarded by mutex_.
   std::list<CacheEntry> lru_;
-  std::unordered_map<CacheKey, std::list<CacheEntry>::iterator, CacheKeyHash>
+  std::unordered_map<ArtifactKey, std::list<CacheEntry>::iterator,
+                     CacheKeyHash>
       cache_index_;
 
   /// Instruments are registered in the constructor; afterwards only these

@@ -210,7 +210,7 @@ FusionPlan FusionPlan::build(const qir::Circuit& circuit,
       continue;
     }
 
-    // 3+-qubit gates (CCX, CSWAP, MCX): keep the specialised kernels.
+    // 3+-qubit gates (CCX, CSWAP, MCX): apply_gate's subspace kernels.
     plan.stats_.gates_in += 1;
     emit_passthrough(i);
     ++i;
@@ -226,9 +226,10 @@ namespace {
 /// dispatch of apply_single_qubit / apply_two_qubit exactly) plus its
 /// precomputed matrices, lowered once and shared read-only by every tile.
 struct TileOp {
-  enum class K { kDiag, kSingle, kGang, kTwoDense, kTwoMono };
+  enum class K { kDiag, kSingle, kGang, kTwoDense, kTwoMono, kPauli };
   K k = K::kSingle;
   int q = 0, a = 0, b = 0;
+  char pauli = 'I';       ///< kPauli: 'X', 'Y' or 'Z'
   kernels::M2 m2{};
   cplx d00, d11;          ///< kDiag coefficients
   kernels::M4 m4{};
@@ -252,9 +253,9 @@ bool is_tile_local(const FusedOp& op, int tile_qubits) {
     case FusedOp::Kind::kTwoQubit:
       return op.a < tile_qubits && op.b < tile_qubits;
     case FusedOp::Kind::kGate:
-      // Lone 1q passthroughs lower to the same 2x2 sweep the unfused path
-      // runs; everything else (permutation / controlled kernels) keeps the
-      // whole-array specialisations.
+      // Lone 1q passthroughs lower to the same kernel the unfused path runs
+      // (a 2x2 or diagonal sweep, or the Pauli kernel for X/Y/Z); the
+      // multi-qubit gates keep their whole-array subspace kernels.
       return op.gate.kind != qir::GateKind::Barrier &&
              op.gate.qubits.size() == 1 && op.gate.qubits[0] < tile_qubits;
   }
@@ -271,8 +272,17 @@ TileOp lower_tile_op(const FusedOp& op) {
         std::memcpy(m, op.single.m, sizeof(m));
         t.q = op.single.qubit;
       } else {
-        single_qubit_matrix(op.gate.kind, op.gate.params, m);
         t.q = op.gate.qubits[0];
+        const qir::GateKind kind = op.gate.kind;
+        if (kind == qir::GateKind::X || kind == qir::GateKind::Y ||
+            kind == qir::GateKind::Z) {
+          t.k = TileOp::K::kPauli;
+          t.pauli = kind == qir::GateKind::X   ? 'X'
+                    : kind == qir::GateKind::Y ? 'Y'
+                                               : 'Z';
+          return t;
+        }
+        single_qubit_matrix(kind, op.gate.params, m);
       }
       if (m[0][1] == cplx(0.0, 0.0) && m[1][0] == cplx(0.0, 0.0)) {
         t.k = TileOp::K::kDiag;
@@ -322,6 +332,9 @@ void apply_tile_op(cplx* region, std::size_t tile, const TileOp& t,
     case TileOp::K::kTwoMono:
       kernels::sweep_2q_monomial(mode, region, 0, tile >> 2, t.a, t.b, t.src,
                                  t.coef);
+      return;
+    case TileOp::K::kPauli:
+      kernels::sweep_pauli(t.pauli, region, 0, tile >> 1, t.q);
       return;
   }
 }

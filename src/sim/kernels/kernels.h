@@ -25,6 +25,11 @@ namespace tetris::sim::kernels {
 /// complex multiply via FMA) that does not depend on where a chunk boundary
 /// falls, so parallel AVX2 sweeps are bit-identical to serial AVX2 sweeps;
 /// against scalar they are tolerance-equal only (FMA fuses a rounding step).
+///
+/// The permutation and controlled kernels at the end of this header have
+/// no AVX2 flavour: they run the same scalar code in every mode, and each
+/// amplitude they write equals the historical per-pair loop's value (up to
+/// the sign of a zero), so they are mode-independent and exact.
 
 /// One 2x2 complex matrix, flattened for by-value capture into kernels.
 struct M2 {
@@ -144,5 +149,55 @@ inline void sweep_gang(SimdMode mode, cplx* amps, std::size_t outer_begin,
     sweep_gang_scalar(amps, outer_begin, outer_end, g);
   }
 }
+
+// --- permutation and controlled kernels (mode-independent) ---
+
+/// Where a permutation or controlled kernel acts. Subspace index j visits
+/// the amplitude base(j) | set, where base(j) is j with a zero bit spliced
+/// in at every wire of `spliced` (the gate's controls and targets). `set`
+/// carries the control bits, so only amplitudes whose controls are all set
+/// are ever read: a gate with s spliced wires visits 2^(n-s) indices. The
+/// pair kernels pair index i0 = base(j) | set with i1 = i0 ^ flip.
+///
+///   X / CX / CCX / MCX  spliced = controls|t   set = controls    flip = t
+///   SWAP / CSWAP        spliced = controls|a|b set = controls|a  flip = a|b
+///
+/// Consecutive j map to consecutive amplitudes in runs as long as the
+/// lowest spliced wire's stride, which is what the kernels stream over.
+struct Subspace {
+  std::size_t spliced = 0;  ///< wire bits spliced out of the index; nonzero
+  std::size_t set = 0;      ///< bits OR-ed into every visited index
+  std::size_t flip = 0;     ///< pair kernels: partner index = i0 ^ flip
+};
+
+/// Number of subspace indices of a 2^n register (dim >> popcount(spliced)).
+std::size_t subspace_size(std::size_t dim, const Subspace& s);
+
+/// Swaps amps[i0] and amps[i1] for every subspace index in [begin, end):
+/// the X family and SWAP/CSWAP, with no arithmetic at all.
+void sweep_swap(cplx* amps, std::size_t begin, std::size_t end,
+                const Subspace& s);
+
+/// The Pauli Y on a pair: amps[i0] = -i * a1, amps[i1] = i * a0 — a swap
+/// whose two products are exact.
+void sweep_swap_y(cplx* amps, std::size_t begin, std::size_t end,
+                  const Subspace& s);
+
+/// amps[i0] *= c for every subspace index (`flip` is unused): the CZ / CP
+/// / CRZ diagonals and the Pauli Z, one coefficient per pass.
+void sweep_scale(cplx* amps, std::size_t begin, std::size_t end,
+                 const Subspace& s, cplx c);
+
+/// [m00 m01; m10 m11] on each (i0, i1) pair with the historical
+/// `m00 * a0 + m01 * a1` arithmetic: CY and CH on their control subspace.
+void sweep_controlled_1q(cplx* amps, std::size_t begin, std::size_t end,
+                         const Subspace& s, const M2& m);
+
+/// The Pauli 'X', 'Y' or 'Z' on qubit q over pair indices [begin, end) of
+/// the 2^(n-1) pairs that differ in bit q: X swaps, Y is sweep_swap_y, Z
+/// negates the |1> half. Any other character is a no-op ('I'). The one
+/// Pauli path of both StateVector::apply_pauli and the fused tiles.
+void sweep_pauli(char pauli, cplx* amps, std::size_t begin, std::size_t end,
+                 int q);
 
 }  // namespace tetris::sim::kernels

@@ -125,6 +125,113 @@ void sweep_2q_monomial_scalar(cplx* amps, std::size_t idx_begin,
   }
 }
 
+// The subspace kernels below replaced the historical per-pair loops of the
+// controlled and permutation gates (kept as the oracle in
+// tests/test_kernels.cpp). They visit only the control subspace and write
+// the loops' values up to the sign of a zero, in every SIMD mode.
+
+namespace {
+
+/// base(j): j with a zero bit spliced in at every wire of `spliced`
+/// (ascending, so each splice sees the final position of the lower ones).
+std::size_t splice_index(std::size_t j, std::size_t spliced) {
+  for (std::size_t m = spliced; m != 0; m &= m - 1) {
+    const std::size_t below = (m & (~m + 1)) - 1;
+    j = ((j & ~below) << 1) | (j & below);
+  }
+  return j;
+}
+
+/// Calls run_fn(i0, len) for each stretch of subspace indices in
+/// [begin, end) whose i0 = base(j) | set are consecutive amplitudes. Runs
+/// break where j crosses a multiple of the lowest spliced wire's stride; the
+/// next base is the next integer with every spliced bit clear.
+template <typename RunFn>
+void for_each_run(std::size_t begin, std::size_t end, const Subspace& s,
+                  RunFn run_fn) {
+  const std::size_t stride = s.spliced & (~s.spliced + 1);
+  std::size_t base = splice_index(begin, s.spliced);
+  if (stride == 1) {
+    // Wire 0 is spliced: every run is one amplitude, so pass the length as
+    // a constant the inlined body can fold.
+    for (std::size_t j = begin; j < end; ++j) {
+      run_fn(base | s.set, std::size_t{1});
+      base = ((base | s.spliced) + 1) & ~s.spliced;
+    }
+    return;
+  }
+  for (std::size_t j = begin; j < end;) {
+    const std::size_t len = std::min(stride - (j & (stride - 1)), end - j);
+    run_fn(base | s.set, len);
+    j += len;
+    base = (((base + len - 1) | s.spliced) + 1) & ~s.spliced;
+  }
+}
+
+}  // namespace
+
+std::size_t subspace_size(std::size_t dim, const Subspace& s) {
+  return dim >> __builtin_popcountll(s.spliced);
+}
+
+void sweep_swap(cplx* amps, std::size_t begin, std::size_t end,
+                const Subspace& s) {
+  for_each_run(begin, end, s, [&](std::size_t i0, std::size_t len) {
+    std::swap_ranges(amps + i0, amps + i0 + len, amps + (i0 ^ s.flip));
+  });
+}
+
+void sweep_swap_y(cplx* amps, std::size_t begin, std::size_t end,
+                  const Subspace& s) {
+  const cplx minus_i(0.0, -1.0);
+  const cplx plus_i(0.0, 1.0);
+  for_each_run(begin, end, s, [&](std::size_t i0, std::size_t len) {
+    cplx* p0 = amps + i0;
+    cplx* p1 = amps + (i0 ^ s.flip);
+    for (std::size_t r = 0; r < len; ++r) {
+      const cplx a0 = p0[r];
+      p0[r] = minus_i * p1[r];
+      p1[r] = plus_i * a0;
+    }
+  });
+}
+
+void sweep_scale(cplx* amps, std::size_t begin, std::size_t end,
+                 const Subspace& s, cplx c) {
+  for_each_run(begin, end, s, [&](std::size_t i0, std::size_t len) {
+    cplx* p = amps + i0;
+    for (std::size_t r = 0; r < len; ++r) p[r] *= c;
+  });
+}
+
+void sweep_controlled_1q(cplx* amps, std::size_t begin, std::size_t end,
+                         const Subspace& s, const M2& m) {
+  const cplx m00 = m.m00, m01 = m.m01, m10 = m.m10, m11 = m.m11;
+  for_each_run(begin, end, s, [&](std::size_t i0, std::size_t len) {
+    cplx* p0 = amps + i0;
+    cplx* p1 = amps + (i0 ^ s.flip);
+    for (std::size_t r = 0; r < len; ++r) {
+      const cplx a0 = p0[r];
+      const cplx a1 = p1[r];
+      p0[r] = m00 * a0 + m01 * a1;
+      p1[r] = m10 * a0 + m11 * a1;
+    }
+  });
+}
+
+void sweep_pauli(char pauli, cplx* amps, std::size_t begin, std::size_t end,
+                 int q) {
+  const std::size_t bit = std::size_t{1} << q;
+  switch (pauli) {
+    case 'X': sweep_swap(amps, begin, end, {bit, 0, bit}); return;
+    case 'Y': sweep_swap_y(amps, begin, end, {bit, 0, bit}); return;
+    case 'Z':
+      sweep_scale(amps, begin, end, {bit, bit, 0}, cplx(-1.0, 0.0));
+      return;
+    default: return;
+  }
+}
+
 void sweep_gang_scalar(cplx* amps, std::size_t outer_begin,
                        std::size_t outer_end, const GangPlan& g) {
   const int k = g.count;

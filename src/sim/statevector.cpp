@@ -125,57 +125,16 @@ void StateVector::apply_single_qubit(const cplx m[2][2], int q) {
              });
 }
 
-void StateVector::apply_controlled_single(const cplx m[2][2],
-                                          std::size_t control_mask, int q) {
-  const std::size_t stride = std::size_t{1} << q;
+template <typename Kernel>
+void StateVector::run_subspace(const kernels::Subspace& s, Kernel kernel) {
   cplx* amps = amps_.data();
-  const cplx m00 = m[0][0], m01 = m[0][1], m10 = m[1][0], m11 = m[1][1];
-  run_kernel(use_parallel(), parallel_grain_, 1, amps_.size() / 2,
-             [=](std::size_t k_begin, std::size_t k_end) {
-               for (std::size_t k = k_begin; k < k_end; ++k) {
-                 const std::size_t i0 =
-                     ((k >> q) << (q + 1)) | (k & (stride - 1));
-                 if ((i0 & control_mask) != control_mask) continue;
-                 const std::size_t i1 = i0 + stride;
-                 const cplx a0 = amps[i0];
-                 const cplx a1 = amps[i1];
-                 amps[i0] = m00 * a0 + m01 * a1;
-                 amps[i1] = m10 * a0 + m11 * a1;
-               }
-             });
-}
-
-void StateVector::apply_swap(int a, int b) {
-  const std::size_t bit_a = std::size_t{1} << a;
-  const std::size_t bit_b = std::size_t{1} << b;
-  cplx* amps = amps_.data();
-  // Only the index with bit_a set and bit_b clear initiates a swap, and its
-  // partner j never initiates one itself, so each {i, j} pair is touched by
-  // exactly one iteration — parallel chunks cannot collide.
-  run_kernel(use_parallel(), parallel_grain_, 1, amps_.size(),
+  // Every subspace index touches its own one or two amplitudes, so chunks
+  // never collide and the mode-independent kernels make parallel output
+  // bit-identical to serial in every SIMD mode.
+  run_kernel(use_parallel(), parallel_grain_, 1,
+             kernels::subspace_size(amps_.size(), s),
              [=](std::size_t begin, std::size_t end) {
-               for (std::size_t i = begin; i < end; ++i) {
-                 if ((i & bit_a) != 0 && (i & bit_b) == 0) {
-                   const std::size_t j = (i & ~bit_a) | bit_b;
-                   std::swap(amps[i], amps[j]);
-                 }
-               }
-             });
-}
-
-void StateVector::apply_controlled_swap(std::size_t control_mask, int a, int b) {
-  const std::size_t bit_a = std::size_t{1} << a;
-  const std::size_t bit_b = std::size_t{1} << b;
-  cplx* amps = amps_.data();
-  run_kernel(use_parallel(), parallel_grain_, 1, amps_.size(),
-             [=](std::size_t begin, std::size_t end) {
-               for (std::size_t i = begin; i < end; ++i) {
-                 if ((i & control_mask) != control_mask) continue;
-                 if ((i & bit_a) != 0 && (i & bit_b) == 0) {
-                   const std::size_t j = (i & ~bit_a) | bit_b;
-                   std::swap(amps[i], amps[j]);
-                 }
-               }
+               kernel(amps, begin, end, s);
              });
 }
 
@@ -252,55 +211,74 @@ void StateVector::apply_two_qubit(const cplx m[4][4], int a, int b) {
 
 void StateVector::apply_gate(const qir::Gate& gate) {
   using qir::GateKind;
+  // The subspace kernels splice one index bit out per wire, so the wires
+  // must be distinct as well as in range.
+  std::size_t wires = 0;
   for (int q : gate.qubits) {
     TETRIS_REQUIRE(q >= 0 && q < num_qubits_, "apply_gate: qubit out of range");
+    const std::size_t bit = std::size_t{1} << q;
+    TETRIS_REQUIRE((wires & bit) == 0, "apply_gate: repeated qubit");
+    wires |= bit;
   }
+  if (gate.kind == GateKind::Barrier) return;
+  // Controls are all qubits but the target (the last one; the last two for
+  // the swaps).
+  const std::size_t last = std::size_t{1} << gate.qubits.back();
+  const std::size_t controls = wires & ~last;
+  cplx m[2][2];
   switch (gate.kind) {
-    case GateKind::Barrier:
+    case GateKind::CX:
+    case GateKind::CCX:
+    case GateKind::MCX:
+      run_subspace({wires, controls, last}, kernels::sweep_swap);
       return;
     case GateKind::SWAP:
-      apply_swap(gate.qubits[0], gate.qubits[1]);
-      return;
-    case GateKind::CSWAP:
-      apply_controlled_swap(std::size_t{1} << gate.qubits[0], gate.qubits[1],
-                            gate.qubits[2]);
-      return;
-    case GateKind::CX:
-    case GateKind::CY:
-    case GateKind::CZ:
-    case GateKind::CH:
-    case GateKind::CP:
-    case GateKind::CRZ:
-    case GateKind::CCX:
-    case GateKind::MCX: {
-      // Controls are all qubits but the last; build the base single-qubit
-      // matrix the controlled kind applies on its target.
-      GateKind base;
-      switch (gate.kind) {
-        case GateKind::CX:
-        case GateKind::CCX:
-        case GateKind::MCX: base = GateKind::X; break;
-        case GateKind::CY:  base = GateKind::Y; break;
-        case GateKind::CZ:  base = GateKind::Z; break;
-        case GateKind::CH:  base = GateKind::H; break;
-        case GateKind::CP:  base = GateKind::P; break;
-        default:            base = GateKind::RZ; break;  // CRZ
-      }
-      cplx m[2][2];
-      single_qubit_matrix(base, gate.params, m);
-      std::size_t mask = 0;
-      for (std::size_t i = 0; i + 1 < gate.qubits.size(); ++i) {
-        mask |= std::size_t{1} << gate.qubits[i];
-      }
-      apply_controlled_single(m, mask, gate.qubits.back());
+    case GateKind::CSWAP: {
+      // set = controls | a, so i0 has a set and b clear; flip moves it to
+      // the partner with b set and a clear.
+      const std::size_t a =
+          std::size_t{1} << gate.qubits[gate.qubits.size() - 2];
+      run_subspace({wires, controls, a | last}, kernels::sweep_swap);
       return;
     }
-    default: {
-      cplx m[2][2];
+    case GateKind::X: apply_pauli('X', gate.qubits[0]); return;
+    case GateKind::Y: apply_pauli('Y', gate.qubits[0]); return;
+    case GateKind::Z: apply_pauli('Z', gate.qubits[0]); return;
+    case GateKind::CZ:
+    case GateKind::CP:
+    case GateKind::CRZ: {
+      // Diagonal on the control subspace: target-|1> amplitudes times m11,
+      // target-|0> ones times m00 unless it is exactly 1 (a no-op product).
+      single_qubit_matrix(gate.kind == GateKind::CZ   ? GateKind::Z
+                          : gate.kind == GateKind::CP ? GateKind::P
+                                                      : GateKind::RZ,
+                          gate.params, m);
+      const auto scale = [this](const kernels::Subspace& s, cplx c) {
+        run_subspace(s, [c](cplx* amps, std::size_t begin, std::size_t end,
+                            const kernels::Subspace& sub) {
+          kernels::sweep_scale(amps, begin, end, sub, c);
+        });
+      };
+      if (m[0][0] != cplx(1.0, 0.0)) scale({wires, controls, 0}, m[0][0]);
+      scale({wires, wires, 0}, m[1][1]);
+      return;
+    }
+    case GateKind::CY:
+    case GateKind::CH: {
+      single_qubit_matrix(gate.kind == GateKind::CY ? GateKind::Y : GateKind::H,
+                          gate.params, m);
+      const kernels::M2 m2{m[0][0], m[0][1], m[1][0], m[1][1]};
+      run_subspace({wires, controls, last},
+                   [&m2](cplx* amps, std::size_t begin, std::size_t end,
+                         const kernels::Subspace& s) {
+                     kernels::sweep_controlled_1q(amps, begin, end, s, m2);
+                   });
+      return;
+    }
+    default:
       single_qubit_matrix(gate.kind, gate.params, m);
       apply_single_qubit(m, gate.qubits[0]);
       return;
-    }
   }
 }
 
@@ -311,14 +289,17 @@ void StateVector::apply_circuit(const qir::Circuit& circuit) {
 }
 
 void StateVector::apply_pauli(char pauli, int q) {
-  switch (pauli) {
-    case 'I': return;
-    case 'X': apply_gate(qir::make_x(q)); return;
-    case 'Y': apply_gate(qir::make_y(q)); return;
-    case 'Z': apply_gate(qir::make_z(q)); return;
-    default:
-      throw InvalidArgument(std::string("apply_pauli: bad Pauli '") + pauli + "'");
+  TETRIS_REQUIRE(q >= 0 && q < num_qubits_, "apply_pauli: qubit out of range");
+  if (pauli == 'I') return;
+  if (pauli != 'X' && pauli != 'Y' && pauli != 'Z') {
+    throw InvalidArgument(std::string("apply_pauli: bad Pauli '") + pauli + "'");
   }
+  const std::size_t bit = std::size_t{1} << q;
+  run_subspace({bit, 0, bit}, [pauli, q](cplx* amps, std::size_t begin,
+                                         std::size_t end,
+                                         const kernels::Subspace&) {
+    kernels::sweep_pauli(pauli, amps, begin, end, q);
+  });
 }
 
 std::vector<double> StateVector::probabilities() const {

@@ -12,6 +12,9 @@ using cplx = std::complex<double>;
 
 class FusionPlan;  // sim/fusion.h
 struct FusedOp;    // sim/fusion.h
+namespace kernels {
+struct Subspace;   // sim/kernels/kernels.h
+}
 
 /// One 2x2 matrix bound to one qubit — the unit of a fused gang sweep
 /// (StateVector::apply_gang) and of the fusion pass (sim/fusion.h).
@@ -24,9 +27,10 @@ struct SingleQubitOp {
 ///
 /// Holds 2^n complex amplitudes in little-endian qubit order: basis index
 /// `i` has qubit q in state bit `(i >> q) & 1`. All gate kinds of the IR are
-/// supported natively; controlled kinds are applied as a (control-mask,
-/// 2x2 target matrix) pair, and the permutation kinds (X family, SWAP) use
-/// specialised kernels.
+/// supported natively. Permutation and controlled kinds run the subspace
+/// kernels, which visit only the amplitudes whose control bits are all set:
+/// X/CX/CCX/MCX, SWAP and CSWAP are pure swaps, CZ/CP/CRZ and Z scale,
+/// and CY/CH apply their 2x2 on the control subspace.
 ///
 /// Gate kernels run multi-threaded on the global runtime::ThreadPool once
 /// the register reaches `parallel_threshold()` qubits; below that they use
@@ -35,12 +39,13 @@ struct SingleQubitOp {
 /// with no cross-element reductions), so parallel results are bit-identical
 /// to serial ones at any thread count.
 ///
-/// The sweeps themselves dispatch through the kernel layer
-/// (sim/kernels/kernels.h) on `kernels::simd_mode()`: the scalar kernels
-/// reproduce the historical loops byte for byte; the AVX2 kernels are
-/// tolerance-equal to scalar (FMA reorders rounding) but uphold the same
-/// serial-vs-parallel bit-identity within the mode. See
-/// docs/ARCHITECTURE.md, "Kernel layer".
+/// The sweeps themselves go through the kernel layer
+/// (sim/kernels/kernels.h). The 1q, diagonal, 4x4 and gang sweeps dispatch
+/// on `kernels::simd_mode()`: the scalar kernels reproduce the historical
+/// loops byte for byte; the AVX2 kernels are tolerance-equal to scalar (FMA
+/// reorders rounding) but uphold the same serial-vs-parallel bit-identity
+/// within the mode. The subspace kernels run the same scalar code in every
+/// mode and are exact. See docs/ARCHITECTURE.md, "Kernel layer".
 ///
 /// The register size is bounded only by memory; the RevLib experiments top
 /// out at 12 qubits (4096 amplitudes), far below any practical limit.
@@ -64,7 +69,8 @@ class StateVector {
   /// Sets the register to the computational basis state |index>.
   void set_basis_state(std::size_t index);
 
-  /// Applies one gate (Barrier is a no-op).
+  /// Applies one gate (Barrier is a no-op). Throws InvalidArgument when a
+  /// qubit is out of range or repeated.
   void apply_gate(const qir::Gate& gate);
 
   /// Applies every gate of the circuit in order. The circuit width must not
@@ -94,8 +100,8 @@ class StateVector {
   void apply_fused_op(const FusedOp& op);
 
   /// Applies an arbitrary 2x2 matrix to qubit q in one amplitude sweep (the
-  /// public face of the single-qubit kernel; apply_gate routes named kinds
-  /// through the same loop).
+  /// public face of the single-qubit kernel; apply_gate routes the named 1q
+  /// kinds other than the Paulis through the same loop).
   void apply_matrix(const cplx m[2][2], int q);
 
   /// Applies each op's 2x2 to its qubit in ONE amplitude sweep. Qubits must
@@ -117,7 +123,9 @@ class StateVector {
   static constexpr int kMaxGangQubits = 6;
 
   /// Applies a single Pauli ('I', 'X', 'Y' or 'Z') to qubit q — the noise
-  /// channel injection primitive for trajectory simulation.
+  /// channel injection primitive for trajectory simulation. Calls the
+  /// subspace kernels directly (X swaps, Y swaps with exact ±i products, Z
+  /// negates the |1> half), with no qir::Gate built per injection.
   void apply_pauli(char pauli, int q);
 
   /// Measurement probabilities |amp|^2 for every basis state.
@@ -171,9 +179,11 @@ class StateVector {
   bool use_parallel() const { return num_qubits_ >= parallel_threshold_; }
 
   void apply_single_qubit(const cplx m[2][2], int q);
-  void apply_controlled_single(const cplx m[2][2], std::size_t control_mask, int q);
-  void apply_swap(int a, int b);
-  void apply_controlled_swap(std::size_t control_mask, int a, int b);
+
+  /// Runs `kernel(amps, begin, end, s)` over every index of the subspace
+  /// `s` — the permutation and controlled gates (sim/kernels/kernels.h).
+  template <typename Kernel>
+  void run_subspace(const kernels::Subspace& s, Kernel kernel);
 
   /// Executes `count` consecutive tile-local fused ops tile by tile
   /// (defined in fusion.cpp, where FusedOp is complete).

@@ -25,6 +25,7 @@
 #include "qir/binary.h"
 #include "qir/library.h"
 #include "revlib/benchmarks.h"
+#include "service/serialize.h"
 #include "service/service.h"
 
 namespace tetris {
@@ -411,12 +412,14 @@ TEST(ArtifactStore, MissThenStoreThenHit) {
   service::ArtifactStore store({scratch_dir("basic"), 0});
   const service::ArtifactKey key = test_key();
   EXPECT_EQ(store.load(key).status, service::LoadStatus::kMiss);
-  const service::StoreResult written = store.store(key, flow_result());
+  const service::StoreResult written =
+      store.store(key, service::encode_artifact(key, flow_result()));
   EXPECT_TRUE(written.written);
   EXPECT_EQ(written.evicted, 0u);
   const auto loaded = store.load(key);
   ASSERT_EQ(loaded.status, service::LoadStatus::kHit);
-  expect_equal_results(loaded.result, flow_result());
+  expect_equal_results(service::decode_artifact(loaded.bytes).result,
+                       flow_result());
   EXPECT_EQ(store.entries(), 1u);
 }
 
@@ -431,7 +434,7 @@ TEST(ArtifactStore, FileNameEncodesTheKey) {
 TEST(ArtifactStore, CorruptFileCountsAndRecovers) {
   service::ArtifactStore store({scratch_dir("corrupt"), 0});
   const service::ArtifactKey key = test_key();
-  ASSERT_TRUE(store.store(key, flow_result()).written);
+  ASSERT_TRUE(store.store(key, test_artifact_bytes()).written);
 
   // Truncate the file on disk behind the store's back.
   const std::string path = store.path_for(key);
@@ -443,7 +446,7 @@ TEST(ArtifactStore, CorruptFileCountsAndRecovers) {
   EXPECT_EQ(store.load(key).status, service::LoadStatus::kCorrupt);
 
   // A rewrite heals it.
-  ASSERT_TRUE(store.store(key, flow_result()).written);
+  ASSERT_TRUE(store.store(key, test_artifact_bytes()).written);
   EXPECT_EQ(store.load(key).status, service::LoadStatus::kHit);
 }
 
@@ -451,7 +454,9 @@ TEST(ArtifactStore, WrongEmbeddedKeyIsCorruptNotHit) {
   service::ArtifactStore store({scratch_dir("renamed"), 0});
   const service::ArtifactKey key_a = {1, 2, 3};
   const service::ArtifactKey key_b = {4, 5, 6};
-  ASSERT_TRUE(store.store(key_a, flow_result()).written);
+  ASSERT_TRUE(
+      store.store(key_a, service::encode_artifact(key_a, flow_result()))
+          .written);
   // Simulate a mis-renamed file: key_a's bytes under key_b's name.
   fs::copy_file(store.path_for(key_a), store.path_for(key_b));
   EXPECT_EQ(store.load(key_b).status, service::LoadStatus::kCorrupt);
@@ -463,7 +468,9 @@ TEST(ArtifactStore, EvictsOldestPastCapacity) {
   const lock::FlowResult empty;  // small artifacts; content is irrelevant
   std::size_t evicted = 0;
   for (std::uint64_t i = 0; i < 4; ++i) {
-    const service::StoreResult written = store.store({i, i, i}, empty);
+    const service::ArtifactKey key = {i, i, i};
+    const service::StoreResult written =
+        store.store(key, service::encode_artifact(key, empty));
     ASSERT_TRUE(written.written);
     evicted += written.evicted;
   }
@@ -533,18 +540,41 @@ TEST(ServiceStore, ArtifactBytesMatchStoredFile) {
   const std::string dir = scratch_dir("bytes_match");
   service::ServiceConfig cfg;
   cfg.store_dir = dir;
+  cfg.cache_capacity = 8;
+  const service::ArtifactKey key = service::artifact_key(small_job(), 42);
+  const std::string path = service::ArtifactStore({dir, 0}).path_for(key);
+
   service::Service svc(cfg);
+  auto handle = svc.submit(small_job(), 42);
+  const service::JobOutcome computed = handle.wait();
+  ASSERT_EQ(computed.state, service::JobState::kDone);
+  EXPECT_FALSE(computed.cache_hit);
 
-  lock::FlowJob job = small_job();
-  const service::ArtifactKey key = service::artifact_key(job, 42);
-  auto handle = svc.submit(std::move(job), 42);
-  ASSERT_EQ(handle.wait().state, service::JobState::kDone);
-
-  // The endpoint/CLI path (encoded on the fly) and the store's file must be
-  // byte-identical — the acceptance check ISSUE.md names.
+  // The endpoint/CLI path (the bytes the record holds) and the store's file
+  // must be byte-identical.
   const std::string via_service = svc.artifact_bytes(handle);
-  const std::string via_disk = read_file(svc.artifact_store()->path_for(key));
+  const std::string via_disk = read_file(path);
   EXPECT_EQ(via_service, via_disk);
+
+  // The cached paths hold the same bytes: a memory hit of the same triple,
+  // and a store hit from a fresh Service over the same directory. Each
+  // decodes to the computed job's document once id and cache_hit align.
+  const std::string document = service::to_json(computed, false);
+  const auto expect_same = [&](service::Service& owner,
+                               const service::JobHandle& hit) {
+    service::JobOutcome out = hit.wait();
+    ASSERT_EQ(out.state, service::JobState::kDone);
+    EXPECT_TRUE(out.cache_hit);
+    EXPECT_EQ(owner.artifact_bytes(hit), via_disk);
+    out.id = computed.id;
+    out.cache_hit = computed.cache_hit;
+    EXPECT_EQ(service::to_json(out, false), document);
+  };
+  expect_same(svc, svc.submit(small_job(), 42));
+  EXPECT_EQ(svc.cache_stats().hits, 1u);
+  service::Service fresh(cfg);
+  expect_same(fresh, fresh.submit(small_job(), 42));
+  EXPECT_EQ(service_metric(fresh, "tetris_store_hits_total"), 1.0);
 
   const service::Artifact decoded = service::decode_artifact(via_service);
   EXPECT_EQ(decoded.key, key);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/error.h"
@@ -202,6 +203,239 @@ TEST(Kernels, MonomialDecompose) {
   EXPECT_FALSE(kernels::monomial_decompose(zero, src, coef));
 }
 
+// ------------------------------------- permutation and controlled kernels
+
+// The per-pair loops StateVector ran every controlled and permutation gate
+// through before the subspace kernels replaced them, kept verbatim as the
+// reference: they visit all 2^(n-1) pairs (or 2^n indices) and test the
+// control mask on each one.
+
+void oracle_controlled_single(cplx* amps, std::size_t dim, const cplx m[2][2],
+                              std::size_t control_mask, int q) {
+  const std::size_t stride = std::size_t{1} << q;
+  const cplx m00 = m[0][0], m01 = m[0][1], m10 = m[1][0], m11 = m[1][1];
+  for (std::size_t k = 0; k < dim / 2; ++k) {
+    const std::size_t i0 = ((k >> q) << (q + 1)) | (k & (stride - 1));
+    if ((i0 & control_mask) != control_mask) continue;
+    const std::size_t i1 = i0 + stride;
+    const cplx a0 = amps[i0];
+    const cplx a1 = amps[i1];
+    amps[i0] = m00 * a0 + m01 * a1;
+    amps[i1] = m10 * a0 + m11 * a1;
+  }
+}
+
+void oracle_swap(cplx* amps, std::size_t dim, int a, int b) {
+  const std::size_t bit_a = std::size_t{1} << a;
+  const std::size_t bit_b = std::size_t{1} << b;
+  for (std::size_t i = 0; i < dim; ++i) {
+    if ((i & bit_a) != 0 && (i & bit_b) == 0) {
+      const std::size_t j = (i & ~bit_a) | bit_b;
+      std::swap(amps[i], amps[j]);
+    }
+  }
+}
+
+void oracle_controlled_swap(cplx* amps, std::size_t dim,
+                            std::size_t control_mask, int a, int b) {
+  const std::size_t bit_a = std::size_t{1} << a;
+  const std::size_t bit_b = std::size_t{1} << b;
+  for (std::size_t i = 0; i < dim; ++i) {
+    if ((i & control_mask) != control_mask) continue;
+    if ((i & bit_a) != 0 && (i & bit_b) == 0) {
+      const std::size_t j = (i & ~bit_a) | bit_b;
+      std::swap(amps[i], amps[j]);
+    }
+  }
+}
+
+/// The historical StateVector::apply_gate dispatch on a raw amplitude
+/// vector: controlled kinds through the per-pair loop with their base 2x2,
+/// the swaps through theirs, and single-qubit kinds (X, Y and Z included)
+/// through the mode's 1q or diagonal sweep.
+void oracle_apply(std::vector<cplx>& amps, const qir::Gate& gate,
+                  SimdMode mode) {
+  using qir::GateKind;
+  const auto& qs = gate.qubits;
+  cplx m[2][2];
+  std::size_t mask = 0;
+  for (std::size_t i = 0; i + 1 < qs.size(); ++i) mask |= std::size_t{1} << qs[i];
+  switch (gate.kind) {
+    case GateKind::SWAP:
+      oracle_swap(amps.data(), amps.size(), qs[0], qs[1]);
+      return;
+    case GateKind::CSWAP:
+      oracle_controlled_swap(amps.data(), amps.size(), std::size_t{1} << qs[0],
+                             qs[1], qs[2]);
+      return;
+    case GateKind::CX:
+    case GateKind::CCX:
+    case GateKind::MCX:
+      single_qubit_matrix(GateKind::X, gate.params, m);
+      break;
+    case GateKind::CY: single_qubit_matrix(GateKind::Y, gate.params, m); break;
+    case GateKind::CZ: single_qubit_matrix(GateKind::Z, gate.params, m); break;
+    case GateKind::CH: single_qubit_matrix(GateKind::H, gate.params, m); break;
+    case GateKind::CP: single_qubit_matrix(GateKind::P, gate.params, m); break;
+    case GateKind::CRZ: single_qubit_matrix(GateKind::RZ, gate.params, m); break;
+    default: {
+      single_qubit_matrix(gate.kind, gate.params, m);
+      if (m[0][1] == cplx(0.0, 0.0) && m[1][0] == cplx(0.0, 0.0)) {
+        kernels::sweep_diag(mode, amps.data(), 0, amps.size(), qs[0], m[0][0],
+                            m[1][1]);
+      } else {
+        kernels::sweep_1q(mode, amps.data(), 0, amps.size() / 2, qs[0],
+                          kernels::M2{m[0][0], m[0][1], m[1][0], m[1][1]});
+      }
+      return;
+    }
+  }
+  oracle_controlled_single(amps.data(), amps.size(), m, mask, qs.back());
+}
+
+/// Every gate shape the subspace kernels must get right on an n-wide
+/// register: wires at qubit 0, qubit 1 (inside the AVX2 lane pair), the
+/// middle and the top; controls above and below the target; every
+/// controlled kind; CCX, MCX with 3 and 4 controls; SWAP in both orders and
+/// CSWAP; and the Paulis as gates.
+std::vector<qir::Gate> subspace_gates(int n) {
+  const int mid = n / 2;
+  const std::vector<int> spots = {0, 1, mid, n - 1};
+  std::vector<qir::Gate> gates;
+  for (int q : spots) {
+    gates.push_back(qir::make_x(q));
+    gates.push_back(qir::make_y(q));
+    gates.push_back(qir::make_z(q));
+  }
+  for (int a : spots) {
+    for (int b : spots) {
+      if (a == b) continue;
+      gates.push_back(qir::make_cx(a, b));
+      gates.push_back(qir::make_cz(a, b));
+      gates.push_back(qir::make_cp(0.37, a, b));
+      gates.push_back(qir::make_crz(-1.21, a, b));
+      gates.push_back(qir::make_cy(a, b));
+      gates.push_back(qir::make_ch(a, b));
+      gates.push_back(qir::make_swap(a, b));
+      for (int c : spots) {
+        if (c == a || c == b) continue;
+        gates.push_back(qir::make_ccx(a, b, c));
+        gates.push_back(qir::make_cswap(a, b, c));
+      }
+    }
+  }
+  for (int t : spots) {  // 3 controls: the other three spots
+    std::vector<int> controls;
+    for (int c : spots) {
+      if (c != t) controls.push_back(c);
+    }
+    gates.push_back(qir::make_mcx(controls, t));
+  }
+  const std::vector<int> five = {0, 1, mid, mid + 1, n - 1};
+  for (int t : five) {  // 4 controls
+    std::vector<int> controls;
+    for (int c : five) {
+      if (c != t) controls.push_back(c);
+    }
+    gates.push_back(qir::make_mcx(controls, t));
+  }
+  return gates;
+}
+
+/// A dense n-qubit state with no zero amplitudes, prepared in the active
+/// SIMD mode.
+StateVector prepared_state(int n) {
+  StateVector sv(n);
+  Rng rng(500 + static_cast<std::uint64_t>(n));
+  for (int q = 0; q < n; ++q) {
+    sv.apply_gate(qir::make_ry(rng.uniform() * 3.0, q));
+    sv.apply_gate(qir::make_rz(rng.uniform() * 3.0, q));
+  }
+  for (int q = 0; q + 1 < n; ++q) {
+    sv.apply_gate(qir::make_rx(rng.uniform() * 3.0, q + 1));
+    sv.apply_gate(qir::make_cx(q, q + 1));
+  }
+  return sv;
+}
+
+/// Index of the first amplitude where `got` != `want` under ==, or -1.
+long first_mismatch(const std::vector<cplx>& got, const std::vector<cplx>& want) {
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (!(got[i] == want[i])) return static_cast<long>(i);
+  }
+  return -1;
+}
+
+// Each gate, applied in sequence to one state, must leave every amplitude
+// == the per-pair oracle's (== treats the two zero signs as equal, the one
+// freedom the kernels have), in both SIMD modes, serially and at 1, 2 and 8
+// threads with a ragged grain.
+TEST(SubspaceKernels, MatchOraclePerAmplitude) {
+  std::vector<SimdMode> modes = {SimdMode::kScalar};
+  if (kernels::avx2_available()) modes.push_back(SimdMode::kAvx2);
+  for (SimdMode mode : modes) {
+    ModeGuard guard;
+    kernels::set_simd_mode(mode);
+    for (int n : {5, 7, 13}) {
+      const std::vector<qir::Gate> gates = subspace_gates(n);
+      for (unsigned threads : {0u, 1u, 2u, 8u}) {  // 0 = serial kernels
+        runtime::ThreadPool::set_global_threads(threads == 0 ? 1 : threads);
+        StateVector sv = prepared_state(n);
+        if (threads > 0) {
+          sv.set_parallel_threshold(0);
+          sv.set_parallel_grain(3);
+        }
+        std::vector<cplx> want = sv.amplitudes();
+        for (const qir::Gate& g : gates) {
+          sv.apply_gate(g);
+          oracle_apply(want, g, mode);
+          const long bad = first_mismatch(sv.amplitudes(), want);
+          ASSERT_EQ(bad, -1) << kernels::simd_mode_name(mode) << " n=" << n
+                             << " threads=" << threads << " gate=" << g.name()
+                             << " first bad amplitude " << bad;
+        }
+      }
+      runtime::ThreadPool::set_global_threads(0);
+    }
+  }
+}
+
+// A chunk boundary anywhere in the subspace index range — mid-run or on a
+// run edge — must not change a bit: split the range at each point and
+// compare with the unsplit sweeps.
+TEST(SubspaceKernels, ChunkSplitIsBitIdentical) {
+  const std::size_t dim = 64;  // 6 qubits
+  const kernels::M2 h{cplx(0.6, 0.1), cplx(-0.3, 0.7), cplx(0.7, 0.3),
+                      cplx(0.1, -0.6)};
+  const std::vector<kernels::Subspace> shapes = {
+      {0b000011, 0b000001, 0b000010},   // CX control 0, target 1
+      {0b100100, 0b100000, 0b000100},   // CX control 5, target 2
+      {0b010110, 0b000110, 0b010010},   // CSWAP control 2, (1, 4)
+      {0b000001, 0b000000, 0b000001},   // X on qubit 0
+  };
+  // Subspace indices touch disjoint amplitudes, so the four kernels over
+  // [0, cut) then over [cut, count) equal them over the whole range.
+  const auto sweep_all = [&](std::vector<cplx>& amps, std::size_t begin,
+                             std::size_t end, const kernels::Subspace& s) {
+    kernels::sweep_swap(amps.data(), begin, end, s);
+    kernels::sweep_scale(amps.data(), begin, end, s, cplx(0.3, -0.8));
+    kernels::sweep_controlled_1q(amps.data(), begin, end, s, h);
+    kernels::sweep_swap_y(amps.data(), begin, end, s);
+  };
+  for (const kernels::Subspace& s : shapes) {
+    const std::size_t count = kernels::subspace_size(dim, s);
+    auto whole = random_amps(dim, 31);
+    sweep_all(whole, 0, count, s);
+    for (std::size_t cut = 0; cut <= count; ++cut) {
+      auto split = random_amps(dim, 31);
+      sweep_all(split, 0, cut, s);
+      sweep_all(split, cut, count, s);
+      ASSERT_EQ(first_mismatch(split, whole), -1)
+          << "spliced=" << s.spliced << " cut=" << cut;
+    }
+  }
+}
+
 // ------------------------------------------------------------ cache tiling
 
 // Tiling only reorders traversal, so tiled output is bit-identical to
@@ -246,6 +480,42 @@ TEST(Tiling, MixedLocalAndGlobalOps) {
   tiled.set_tile_qubits(2);
   tiled.apply_fused(plan);
   EXPECT_EQ(tiled.max_abs_diff(untiled), 0.0);
+}
+
+// Lone X/Y/Z passthroughs run the Pauli kernel inside a tile exactly as on
+// the whole array, so tiled output matches untiled to the bit — zero signs
+// included, which max_abs_diff cannot see. Half the register stays |0>, so
+// the state is full of exact zeros.
+TEST(Tiling, LonePaulisMatchUntiledToTheBit) {
+  std::vector<SimdMode> modes = {SimdMode::kScalar};
+  if (kernels::avx2_available()) modes.push_back(SimdMode::kAvx2);
+  qir::Circuit c(6);
+  c.h(0).h(1).rz(0.3, 2);
+  c.cx(0, 1).cz(0, 1).x(2).cx(1, 2).cz(1, 2).y(0);
+  c.cx(0, 2).cp(0.3, 0, 2).z(1).cx(2, 1).cz(2, 1).x(0);
+  c.cx(0, 1).cz(0, 1);
+  const auto plan = FusionPlan::build(c);
+  std::size_t lone_paulis = 0;
+  for (const FusedOp& op : plan.ops()) {
+    if (op.kind == FusedOp::Kind::kGate && op.gate.qubits.size() == 1) {
+      ++lone_paulis;
+    }
+  }
+  ASSERT_EQ(lone_paulis, 4u);  // x(2), y(0), z(1), x(0) pass through alone
+  for (SimdMode mode : modes) {
+    ModeGuard guard;
+    kernels::set_simd_mode(mode);
+    StateVector untiled(6);
+    untiled.set_tile_qubits(6);
+    untiled.apply_fused(plan);
+    StateVector tiled(6);
+    tiled.set_tile_qubits(3);
+    tiled.apply_fused(plan);
+    EXPECT_EQ(std::memcmp(tiled.amplitudes().data(), untiled.amplitudes().data(),
+                          tiled.dim() * sizeof(cplx)),
+              0)
+        << kernels::simd_mode_name(mode);
+  }
 }
 
 // ------------------------------------------- parallel equivalence per mode

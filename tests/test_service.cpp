@@ -14,6 +14,10 @@
 #include "runtime/thread_pool.h"
 #include "service/serialize.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace tetris::service {
 namespace {
 
@@ -542,6 +546,52 @@ TEST(ServiceDeterminism, SecondPassServedFromCacheIdentically) {
   for (std::size_t i = 0; i < second.size(); ++i) {
     EXPECT_EQ(to_json(first[i].result), to_json(second[i].result)) << i;
   }
+}
+
+// ------------------------------------------------------------ retained memory
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+
+// A finished job keeps its artifact bytes, not a live FlowResult, so a
+// service that never forgets a job grows by a small fixed amount per job:
+// 200 done 4mod5 jobs must each add less than 24 KB of heap (record, job,
+// trace and artifact). Holding the FlowResult took about 42 KB per job.
+TEST(ServiceMemory, DoneJobsRetainLessThan24KBEach) {
+#if defined(__GLIBC__) && __GLIBC_PREREQ(2, 33)
+  if (kSanitized) GTEST_SKIP() << "sanitizer allocators bypass mallinfo2";
+  ServiceConfig config;
+  config.num_threads = 1;
+  Service svc(config);
+  // Warm-up job: the pool thread and every lazily built table exist before
+  // the baseline is read.
+  ASSERT_EQ(svc.submit(benchmark_job("4mod5"), 0).wait().state,
+            JobState::kDone);
+  const std::size_t before = mallinfo2().uordblks;
+  if (before == 0) GTEST_SKIP() << "mallinfo2 reports no heap in use";
+  constexpr std::size_t kJobs = 200;
+  for (std::size_t i = 1; i <= kJobs; ++i) {
+    svc.submit(benchmark_job("4mod5"), i);
+  }
+  for (const JobOutcome& out : svc.wait_all()) {
+    ASSERT_EQ(out.state, JobState::kDone);
+  }
+  const std::size_t after = mallinfo2().uordblks;
+  const double per_job =
+      (static_cast<double>(after) - static_cast<double>(before)) / kJobs;
+  EXPECT_LT(per_job, 24.0 * 1024.0) << "bytes retained per done job";
+#else
+  GTEST_SKIP() << "needs glibc's mallinfo2";
+#endif
 }
 
 }  // namespace

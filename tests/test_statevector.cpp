@@ -234,6 +234,24 @@ TEST(StateVector, ApplyCircuitWidthGuard) {
   EXPECT_THROW(sv.apply_circuit(wide), InvalidArgument);
 }
 
+// The kernels splice one index bit out per wire, so a repeated wire must be
+// refused up front: a CX with control == target would otherwise index past
+// the register, and a CSWAP on {0, 1, 1} would apply an unrelated
+// permutation.
+TEST(StateVector, ApplyGateRejectsRepeatedQubits) {
+  StateVector sv(4);
+  sv.apply_gate(qir::make_h(2));
+  const auto before = sv.amplitudes();
+  EXPECT_THROW(sv.apply_gate(qir::Gate(qir::GateKind::CX, {2, 2})),
+               InvalidArgument);
+  EXPECT_THROW(sv.apply_gate(qir::Gate(qir::GateKind::CSWAP, {0, 1, 1})),
+               InvalidArgument);
+  EXPECT_THROW(sv.apply_gate(qir::Gate(qir::GateKind::CCX, {3, 1, 3})),
+               InvalidArgument);
+  EXPECT_EQ(sv.amplitudes(), before);  // refused before touching the state
+  EXPECT_THROW(sv.apply_pauli('X', 4), InvalidArgument);
+}
+
 // ------------------------------------------------------- apply_two_qubit
 
 /// Prepares a non-trivial product+entangled state on `n` qubits.
