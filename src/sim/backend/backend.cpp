@@ -1,10 +1,7 @@
 #include "sim/backend/backend.h"
 
-#include <cmath>
-
 #include "sim/backend/stabilizer.h"
 #include "sim/backend/statevector_backend.h"
-#include "sim/backend/unitary_backend.h"
 
 namespace tetris::sim {
 
@@ -13,7 +10,6 @@ const char* backend_kind_name(BackendKind kind) {
     case BackendKind::kAuto: return "auto";
     case BackendKind::kStateVector: return "statevector";
     case BackendKind::kStabilizer: return "stabilizer";
-    case BackendKind::kUnitary: return "unitary";
   }
   return "unknown";
 }
@@ -22,10 +18,8 @@ BackendKind parse_backend_kind(const std::string& name) {
   if (name == "auto") return BackendKind::kAuto;
   if (name == "statevector") return BackendKind::kStateVector;
   if (name == "stabilizer") return BackendKind::kStabilizer;
-  if (name == "unitary") return BackendKind::kUnitary;
-  throw InvalidArgument(
-      "unknown backend '" + name +
-      "' (expected auto, statevector, stabilizer, or unitary)");
+  throw InvalidArgument("unknown backend '" + name +
+                        "' (expected one of auto, statevector, stabilizer)");
 }
 
 UnsupportedGate::UnsupportedGate(std::string backend, std::string gate,
@@ -51,45 +45,6 @@ void Backend::apply(const qir::Circuit& circuit) {
   }
 }
 
-double Backend::fidelity_with(const Backend& other) const {
-  TETRIS_REQUIRE(num_qubits() == other.num_qubits(),
-                 "Backend::fidelity_with: register widths differ");
-  const std::vector<std::complex<double>>* a = dense_state();
-  const std::vector<std::complex<double>>* b = other.dense_state();
-  if (a == nullptr || b == nullptr) {
-    throw InvalidArgument(std::string("Backend::fidelity_with: ") +
-                          (a == nullptr ? name() : other.name()) +
-                          " backend has no dense state");
-  }
-  std::complex<double> inner = 0.0;
-  for (std::size_t i = 0; i < a->size(); ++i) {
-    inner += std::conj((*a)[i]) * (*b)[i];
-  }
-  return std::norm(inner);
-}
-
-std::map<std::string, std::size_t> Backend::sample(
-    std::size_t shots, const std::vector<int>& measured, Rng& rng) {
-  prepare();
-  std::vector<int> m = measured;
-  if (m.empty()) {
-    for (int q = 0; q < num_qubits(); ++q) m.push_back(q);
-  }
-  for (int q : m) {
-    TETRIS_REQUIRE(q >= 0 && q < num_qubits(),
-                   "Backend::sample: measured qubit out of range");
-  }
-  // One u64 unconditionally — the same per-shot stream-family contract as
-  // sim::sample, so a backend swap never shifts the caller's generator.
-  const std::uint64_t base = rng.next_u64();
-  std::map<std::string, std::size_t> histogram;
-  for (std::size_t shot = 0; shot < shots; ++shot) {
-    Rng shot_rng = Rng::for_stream(base, shot);
-    ++histogram[project_index(sample_index(shot_rng), m)];
-  }
-  return histogram;
-}
-
 std::string project_index(std::size_t index,
                           const std::vector<int>& measured) {
   std::string out(measured.size(), '0');
@@ -103,7 +58,6 @@ const std::vector<BackendInfo>& registered_backends() {
   static const std::vector<BackendInfo> kRegistry = {
       {BackendKind::kStateVector, "statevector", StateVectorBackend::caps()},
       {BackendKind::kStabilizer, "stabilizer", StabilizerBackend::caps()},
-      {BackendKind::kUnitary, "unitary", DenseUnitaryBackend::caps()},
   };
   return kRegistry;
 }
@@ -123,8 +77,6 @@ std::unique_ptr<Backend> make_backend(BackendKind kind, int num_qubits) {
       return std::make_unique<StateVectorBackend>(num_qubits);
     case BackendKind::kStabilizer:
       return std::make_unique<StabilizerBackend>(num_qubits);
-    case BackendKind::kUnitary:
-      return std::make_unique<DenseUnitaryBackend>(num_qubits);
     case BackendKind::kAuto:
       break;
   }

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <complex>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -24,17 +23,16 @@ enum class BackendKind {
   kAuto,         ///< resolve per circuit (see resolve_backend)
   kStateVector,  ///< dense 2^n amplitudes (sim/statevector.h)
   kStabilizer,   ///< Aaronson-Gottesman tableau, Clifford-only, 50+ qubits
-  kUnitary,      ///< dense 4^n operator reference (sim/unitary.h)
 };
 
-/// Stable lower-snake name ("auto", "statevector", "stabilizer", "unitary").
+/// Stable lower-snake name ("auto", "statevector", "stabilizer").
 const char* backend_kind_name(BackendKind kind);
 
 /// Parses a name back to a kind; throws InvalidArgument for unknown names.
 BackendKind parse_backend_kind(const std::string& name);
 
-/// What an engine can and cannot do, so generic callers (the sampler, the
-/// REST status page) can branch without downcasting.
+/// What an engine can and cannot do: the static half of its registry row
+/// (registered_backends), which GET /v1/status reports.
 struct BackendCaps {
   /// Widest register the engine accepts.
   int max_qubits = 0;
@@ -42,12 +40,10 @@ struct BackendCaps {
   /// UnsupportedGate.
   bool clifford_only = false;
   /// apply_pauli works mid-circuit, so the trajectory sampler can inject
-  /// depolarizing noise (Pauli errors are themselves Clifford, so even the
-  /// tableau engine supports this).
+  /// depolarizing noise. True for every registered engine (Pauli errors are
+  /// themselves Clifford, so even the tableau supports them); kept because
+  /// GET /v1/status publishes it.
   bool supports_noise = false;
-  /// dense amplitudes are available: fidelity_with both ways and exact
-  /// distribution() at any support size.
-  bool dense_state = false;
 };
 
 /// Structured "this engine cannot execute that gate" error. Raised by
@@ -94,9 +90,8 @@ class Backend {
  public:
   virtual ~Backend() = default;
 
-  /// Engine name as registered ("statevector", "stabilizer", "unitary").
+  /// Engine name as registered ("statevector", "stabilizer").
   virtual const char* name() const = 0;
-  virtual BackendCaps capabilities() const = 0;
   virtual int num_qubits() const = 0;
 
   /// Back to |0...0>, discarding any prepared state.
@@ -107,7 +102,7 @@ class Backend {
   virtual void apply_gate(const qir::Gate& gate) = 0;
 
   /// Applies a single Pauli ('I','X','Y','Z') to qubit q — the noise
-  /// injection primitive. Requires capabilities().supports_noise.
+  /// injection primitive of the trajectory sampler.
   virtual void apply_pauli(char pauli, int q) = 0;
 
   /// Finalizes state for concurrent const queries (see class comment).
@@ -125,31 +120,10 @@ class Backend {
   virtual std::map<std::string, double> distribution(
       const std::vector<int>& measured = {}) const = 0;
 
-  /// |<this|other>|^2 via dense amplitudes. Requires `dense_state` on both
-  /// engines (throws InvalidArgument otherwise) and equal widths.
-  double fidelity_with(const Backend& other) const;
-
   /// Applies every gate of `circuit` in order, rethrowing a per-gate
   /// UnsupportedGate with the gate's circuit index attached. The circuit
   /// width must not exceed the register width.
   void apply(const qir::Circuit& circuit);
-
-  /// Convenience shot loop over `sample_index`: calls `prepare()`, consumes
-  /// exactly one u64 from `rng` (the per-shot stream base, drawn even for
-  /// shots == 0), runs shot i on `Rng::for_stream(base, i)`, and histograms
-  /// the outcomes of the `measured` qubits (all qubits when empty) in the
-  /// bitstring convention of sim::Counts. Noise-free — the full trajectory
-  /// harness lives in sim::sample (sampler.h).
-  std::map<std::string, std::size_t> sample(std::size_t shots,
-                                            const std::vector<int>& measured,
-                                            Rng& rng);
-
- protected:
-  /// Dense amplitude access for fidelity_with; engines without dense state
-  /// return nullptr.
-  virtual const std::vector<std::complex<double>>* dense_state() const {
-    return nullptr;
-  }
 };
 
 /// Renders basis index `index` restricted to the `measured` qubits as a
@@ -164,7 +138,7 @@ struct BackendInfo {
   BackendCaps caps;
 };
 
-/// The concrete engines, in enum order (statevector, stabilizer, unitary).
+/// The concrete engines, in enum order (statevector, stabilizer).
 const std::vector<BackendInfo>& registered_backends();
 
 /// Statevector registers wider than this make `auto` prefer the stabilizer

@@ -56,14 +56,12 @@ class StabilizerBackend final : public Backend {
     // Pauli errors are Clifford conjugations (sign flips on the tableau),
     // so the trajectory sampler can inject depolarizing noise.
     c.supports_noise = true;
-    c.dense_state = false;
     return c;
   }
 
   explicit StabilizerBackend(int num_qubits);
 
   const char* name() const override { return "stabilizer"; }
-  BackendCaps capabilities() const override { return caps(); }
   int num_qubits() const override { return num_qubits_; }
 
   void reset() override;
@@ -82,7 +80,7 @@ class StabilizerBackend final : public Backend {
       const std::vector<int>& measured = {}) const override;
 
   /// dim V: the number of uniformly-occupied support dimensions (the state
-  /// spreads over 2^k basis states). Exposed for tests and the bench.
+  /// spreads over 2^k basis states). Exposed for tests.
   int support_dim() const;
 
  private:

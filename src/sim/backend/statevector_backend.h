@@ -8,24 +8,22 @@ namespace tetris::sim {
 /// The dense amplitude engine behind the Backend interface — a thin adapter
 /// over sim::StateVector, which stays a concrete class (the fusion engine
 /// and the tests drive it directly, and sim::sample reaches it through
-/// `state()` for the fused ideal run and each errored shot's fused-prefix
-/// replay). Executes every gate kind of the IR; width-capped at 28 qubits
-/// by the underlying register.
+/// `state()` for the fused ideal run; errored shots replay gate by gate
+/// through the Backend interface). Executes every gate kind of the IR;
+/// width-capped at StateVector::kMaxQubits by the underlying register.
 class StateVectorBackend final : public Backend {
  public:
   static BackendCaps caps() {
     BackendCaps c;
-    c.max_qubits = 28;
+    c.max_qubits = StateVector::kMaxQubits;
     c.clifford_only = false;
     c.supports_noise = true;
-    c.dense_state = true;
     return c;
   }
 
   explicit StateVectorBackend(int num_qubits) : sv_(num_qubits) {}
 
   const char* name() const override { return "statevector"; }
-  BackendCaps capabilities() const override { return caps(); }
   int num_qubits() const override { return sv_.num_qubits(); }
 
   void reset() override { sv_.reset(); }
@@ -41,11 +39,6 @@ class StateVectorBackend final : public Backend {
   /// runs, fidelity against a raw StateVector).
   StateVector& state() { return sv_; }
   const StateVector& state() const { return sv_; }
-
- protected:
-  const std::vector<cplx>* dense_state() const override {
-    return &sv_.amplitudes();
-  }
 
  private:
   StateVector sv_;

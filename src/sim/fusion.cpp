@@ -410,15 +410,4 @@ void StateVector::apply_fused(const FusionPlan& plan) {
   }
 }
 
-std::size_t apply_fused_prefix(StateVector& sv, const FusionPlan& plan,
-                               std::size_t gate_end) {
-  std::size_t next = 0;
-  for (const FusedOp& op : plan.ops()) {
-    if (op.first_gate + op.gate_count > gate_end) break;
-    sv.apply_fused_op(op);
-    next = op.first_gate + op.gate_count;
-  }
-  return next;
-}
-
 }  // namespace tetris::sim

@@ -12,8 +12,8 @@ namespace tetris::sim {
 struct FusionOptions {
   /// Fusion fences by gate index, sorted ascending: a boundary value `i`
   /// fences BEFORE gate i, so gates at indices < i never merge with gates at
-  /// indices >= i. This is how callers express "something non-unitary happens
-  /// here" — a measurement, a per-shot noise-injection site — without
+  /// indices >= i. This is how callers mark a point where the state must
+  /// be observable — a measurement, a snapshot of the register — without
   /// editing the circuit. Barrier gates are implicit fences on top of these.
   std::vector<std::size_t> boundaries;
 
@@ -72,11 +72,10 @@ struct FusedOp {
 /// touch only its control subspace.
 ///
 /// **Fences.** No fused op ever spans a Barrier gate or a
-/// FusionOptions::boundaries index — the non-unitary-event contract the
-/// trajectory sampler relies on. A per-shot noise-injection site is such a
-/// fence: sim::sample replays the plan up to a shot's first injection site
-/// with apply_fused_prefix (every op fully before the site is safe to fuse)
-/// and runs the rest of that trajectory gate by gate.
+/// FusionOptions::boundaries index, so at every fence the register holds
+/// the unfused stream's state at that gate index (up to the rounding noted
+/// below). sim::sample runs a plan only for the noise-free ideal run; an
+/// errored trajectory replays the unfused gate stream.
 ///
 /// **Floating point.** Merging gates multiplies their matrices, which
 /// reorders FP arithmetic: a fused run is tolerance-equal to the unfused one
@@ -108,18 +107,5 @@ class FusionPlan {
 /// Accepts any single-qubit gate on a or b and any two-qubit gate on {a, b}
 /// in either orientation; throws InvalidArgument otherwise.
 void two_qubit_matrix(const qir::Gate& gate, int a, int b, cplx out[4][4]);
-
-/// Applies every op of `plan` whose source gates lie entirely before
-/// `gate_end` (an exclusive gate-stream index), in order, and returns the
-/// index of the first gate NOT applied — the point a gate-by-gate replay
-/// resumes from. An op that straddles `gate_end` is skipped along with
-/// everything after it, so no fused arithmetic ever crosses the boundary.
-/// This is the errored-trajectory primitive of sim::sample: a shot with its
-/// first noise injection after gate g replays the fused prefix through
-/// gate g (gate_end = g + 1) and only simulates the tail unfused. Ops are
-/// applied via StateVector::apply_fused_op, so the prefix is exactly as
-/// tolerance- or bit-equal to the unfused gates as apply_fused itself.
-std::size_t apply_fused_prefix(StateVector& sv, const FusionPlan& plan,
-                               std::size_t gate_end);
 
 }  // namespace tetris::sim

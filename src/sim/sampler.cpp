@@ -70,8 +70,6 @@ struct SampleContext {
   const qir::Circuit* circuit = nullptr;
   const Backend* ideal = nullptr;  ///< prepared noise-free run, shared read-only
   BackendKind kind = BackendKind::kStateVector;  ///< trajectory register engine
-  /// Statevector with `fuse` only: errored shots replay its prefix.
-  const FusionPlan* plan = nullptr;
   const std::vector<int>* measured = nullptr;
   const NoiseModel* noise = nullptr;
   const std::vector<double>* error_probs = nullptr;  ///< per gate index
@@ -87,6 +85,9 @@ struct SampleContext {
 /// depend only on its indices, never on which thread or chunk executes it,
 /// and an engine swap reproduces the statevector's shots wherever the
 /// engine's arithmetic agrees with it (exactly so on the Clifford grid).
+/// An error-free shot draws from the shared ideal run (fused or not); an
+/// errored shot replays the unfused gate stream on its own register,
+/// injecting at each error site in order.
 void run_shot_range(const SampleContext& ctx, std::size_t begin,
                     std::size_t end, Counts& out) {
   const auto& gates = ctx.circuit->gates();
@@ -113,21 +114,8 @@ void run_shot_range(const SampleContext& ctx, std::size_t begin,
       raw = ctx.ideal->sample_index(rng);
     } else {
       traj->reset();
-      std::size_t i = 0;
       std::size_t next_err = 0;
-      if (ctx.plan != nullptr) {
-        // Replay the fused plan up to the first injection site: every op
-        // fully before the site fuses safely, and the injection draws below
-        // happen in site order exactly as in the unfused replay, so the
-        // shot's randomness stream is untouched.
-        StateVector& sv = static_cast<StateVectorBackend&>(*traj).state();
-        i = apply_fused_prefix(sv, *ctx.plan, error_sites[0] + 1);
-        while (next_err < error_sites.size() && error_sites[next_err] < i) {
-          inject_depolarizing(*traj, gates[error_sites[next_err]].qubits, rng);
-          ++next_err;
-        }
-      }
-      for (; i < gates.size(); ++i) {
+      for (std::size_t i = 0; i < gates.size(); ++i) {
         traj->apply_gate(gates[i]);
         if (next_err < error_sites.size() && error_sites[next_err] == i) {
           inject_depolarizing(*traj, gates[i].qubits, rng);
@@ -237,21 +225,11 @@ Counts sample(const qir::Circuit& circuit, const NoiseModel& noise, Rng& rng,
   // trajectory registers of the same engine.
   const BackendKind resolved = resolve_backend(options.backend, circuit);
   std::unique_ptr<Backend> ideal = make_backend(resolved, circuit.num_qubits());
-  if (any_gate_noise && !ideal->capabilities().supports_noise) {
-    throw InvalidArgument(std::string(ideal->name()) +
-                          " backend cannot run gate-noise trajectories "
-                          "(supports_noise is false)");
-  }
-  // `fuse` is a statevector kernel detail. The ideal run goes through the
-  // fused kernels and the plan is kept for the errored trajectories: each
-  // replays the fused prefix up to its first injection site and simulates
-  // only the tail gate by gate — a per-shot injection site is a fence
-  // mid-stream, not a reason to abandon the whole plan.
-  FusionPlan plan;
-  const bool fuse = options.fuse && resolved == BackendKind::kStateVector;
-  if (fuse) {
-    plan = FusionPlan::build(circuit);
-    static_cast<StateVectorBackend&>(*ideal).state().apply_fused(plan);
+  // `fuse` is a statevector kernel detail and touches only the ideal run;
+  // errored trajectories replay the unfused gate stream (run_shot_range).
+  if (options.fuse && resolved == BackendKind::kStateVector) {
+    static_cast<StateVectorBackend&>(*ideal).state().apply_fused(
+        FusionPlan::build(circuit));
   } else {
     ideal->apply(circuit);  // structured UnsupportedGate on an unsupported gate
   }
@@ -263,7 +241,6 @@ Counts sample(const qir::Circuit& circuit, const NoiseModel& noise, Rng& rng,
   ctx.circuit = &circuit;
   ctx.ideal = ideal.get();
   ctx.kind = resolved;
-  ctx.plan = fuse ? &plan : nullptr;
   ctx.measured = &measured;
   ctx.noise = &noise;
   ctx.error_probs = &error_probs;

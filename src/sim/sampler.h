@@ -84,10 +84,8 @@ struct SampleOptions {
 
   /// Fuse adjacent gates of the ideal (noise-free) run into combined
   /// kernels (sim/fusion.h) so each amplitude sweep does more arithmetic
-  /// per byte. Errored trajectories replay the fused prefix up to their
-  /// first noise-injection site (sim::apply_fused_prefix) and re-simulate
-  /// only the tail gate by gate: an injection site is a fence a fused op
-  /// must not cross, not a reason to abandon the plan.
+  /// per byte. Only the ideal run is planned and fused; errored
+  /// trajectories replay the unfused gate stream gate by gate.
   /// Fused sweeps reorder floating-point arithmetic, so fused counts are
   /// tolerance-equal — NOT bit-identical — to unfused ones; the knob is
   /// therefore off by default and, unlike `threads`, part of
@@ -140,8 +138,7 @@ struct SampleOptions {
 /// \param options shots, measured qubits, and sharding knobs
 /// \return histogram over measured-qubit outcomes with `options.shots` shots
 /// \throws InvalidArgument when a measured qubit is out of range, or when
-///   the chosen backend cannot host the run (register wider than its
-///   capability, gate noise on an engine with `supports_noise == false`)
+///   the register is wider than the chosen backend's capability
 /// \throws UnsupportedGate when the chosen backend cannot represent a gate
 ///   (e.g. a T gate on the stabilizer engine); the error names the gate and
 ///   its index

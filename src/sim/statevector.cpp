@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/error.h"
 #include "runtime/thread_pool.h"
@@ -82,8 +83,9 @@ void single_qubit_matrix(qir::GateKind kind, const std::vector<double>& params,
 }
 
 StateVector::StateVector(int num_qubits) : num_qubits_(num_qubits) {
-  TETRIS_REQUIRE(num_qubits >= 0 && num_qubits <= 28,
-                 "StateVector supports 0..28 qubits");
+  TETRIS_REQUIRE(num_qubits >= 0 && num_qubits <= kMaxQubits,
+                 "StateVector supports 0.." + std::to_string(kMaxQubits) +
+                     " qubits");
   amps_.assign(std::size_t{1} << num_qubits, cplx(0.0, 0.0));
   amps_[0] = 1.0;
 }

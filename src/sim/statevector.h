@@ -56,7 +56,11 @@ class StateVector {
   /// waking the pool.
   static constexpr int kDefaultParallelThresholdQubits = 14;
 
-  /// Initializes |0...0> on `num_qubits` wires (0 <= num_qubits <= 28).
+  /// Widest register: 2^28 amplitudes are 4 GiB.
+  static constexpr int kMaxQubits = 28;
+
+  /// Initializes |0...0> on `num_qubits` wires (0 <= num_qubits <=
+  /// kMaxQubits).
   explicit StateVector(int num_qubits);
 
   int num_qubits() const { return num_qubits_; }
@@ -94,10 +98,6 @@ class StateVector {
   /// identical arithmetic sequence — so tiled output is bit-identical to
   /// untiled within a SIMD mode.
   void apply_fused(const FusionPlan& plan);
-
-  /// Applies one fused op (the unit apply_fused iterates) to the full
-  /// register. Used by sim::apply_fused_prefix to replay a plan prefix.
-  void apply_fused_op(const FusedOp& op);
 
   /// Applies an arbitrary 2x2 matrix to qubit q in one amplitude sweep (the
   /// public face of the single-qubit kernel; apply_gate routes the named 1q
@@ -179,6 +179,10 @@ class StateVector {
   bool use_parallel() const { return num_qubits_ >= parallel_threshold_; }
 
   void apply_single_qubit(const cplx m[2][2], int q);
+
+  /// Applies one fused op (the unit apply_fused iterates) to the full
+  /// register (defined in fusion.cpp, where FusedOp is complete).
+  void apply_fused_op(const FusedOp& op);
 
   /// Runs `kernel(amps, begin, end, s)` over every index of the subspace
   /// `s` — the permutation and controlled gates (sim/kernels/kernels.h).

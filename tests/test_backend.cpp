@@ -1,5 +1,5 @@
 // Tests for the pluggable simulator backends (src/sim/backend/): the
-// registry/factory, the three engines, and — the load-bearing property —
+// registry/factory, the two engines, and — the load-bearing property —
 // the differential harness proving the stabilizer engine reproduces the
 // statevector's sampled counts SHOT FOR SHOT on Clifford circuits. The
 // equality is exact, not statistical: Clifford amplitudes stay on the
@@ -12,6 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "compiler/compiler.h"
 #include "compiler/target.h"
@@ -20,7 +24,6 @@
 #include "service/service.h"
 #include "sim/backend/stabilizer.h"
 #include "sim/backend/statevector_backend.h"
-#include "sim/backend/unitary_backend.h"
 #include "sim/sampler.h"
 #include "sim/statevector.h"
 
@@ -62,20 +65,42 @@ qir::Circuit random_clifford(int num_qubits, int num_gates, Rng& rng) {
   return c;
 }
 
+/// Noise-free histogram of `c` on engine `kind`, sampled serially through
+/// sim::sample — the one shot loop every engine shares.
+std::map<std::string, std::size_t> ideal_counts(
+    const qir::Circuit& c, BackendKind kind, std::size_t shots, Rng& rng,
+    std::vector<int> measured = {}) {
+  SampleOptions opts;
+  opts.shots = shots;
+  opts.measured = std::move(measured);
+  opts.threads = 1;
+  opts.backend = kind;
+  return sample(c, NoiseModel::ideal(), rng, opts).histogram;
+}
+
 // ----------------------------------------------------------- kinds/registry
 
 TEST(BackendKind, NamesRoundTrip) {
   for (BackendKind k : {BackendKind::kAuto, BackendKind::kStateVector,
-                        BackendKind::kStabilizer, BackendKind::kUnitary}) {
+                        BackendKind::kStabilizer}) {
     EXPECT_EQ(parse_backend_kind(backend_kind_name(k)), k);
   }
   EXPECT_THROW(parse_backend_kind("chp"), InvalidArgument);
   EXPECT_THROW(parse_backend_kind(""), InvalidArgument);
+  // The error lists every accepted name; "unitary" is not one of them.
+  try {
+    parse_backend_kind("unitary");
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("auto, statevector, stabilizer"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(BackendRegistry, ListsAllEnginesWithCapabilities) {
   const auto& infos = registered_backends();
-  ASSERT_EQ(infos.size(), 3u);
+  ASSERT_EQ(infos.size(), 2u);
   EXPECT_EQ(std::string(infos[0].name), "statevector");
   EXPECT_FALSE(infos[0].caps.clifford_only);
   EXPECT_TRUE(infos[0].caps.supports_noise);
@@ -83,8 +108,6 @@ TEST(BackendRegistry, ListsAllEnginesWithCapabilities) {
   EXPECT_TRUE(infos[1].caps.clifford_only);
   EXPECT_TRUE(infos[1].caps.supports_noise);
   EXPECT_GE(infos[1].caps.max_qubits, 50);
-  EXPECT_EQ(std::string(infos[2].name), "unitary");
-  EXPECT_FALSE(infos[2].caps.supports_noise);
 }
 
 TEST(BackendFactory, MakesEachKindAndRejectsAuto) {
@@ -92,8 +115,6 @@ TEST(BackendFactory, MakesEachKindAndRejectsAuto) {
             "statevector");
   EXPECT_EQ(std::string(make_backend(BackendKind::kStabilizer, 3)->name()),
             "stabilizer");
-  EXPECT_EQ(std::string(make_backend(BackendKind::kUnitary, 3)->name()),
-            "unitary");
   EXPECT_THROW(make_backend(BackendKind::kAuto, 3), InvalidArgument);
 }
 
@@ -112,8 +133,6 @@ TEST(BackendResolve, AutoPicksStabilizerOnlyForWideClifford) {
   EXPECT_EQ(resolve_backend(BackendKind::kAuto, wide_nonclifford),
             BackendKind::kStateVector);
   // Explicit kinds pass through untouched.
-  EXPECT_EQ(resolve_backend(BackendKind::kUnitary, wide_clifford),
-            BackendKind::kUnitary);
   EXPECT_EQ(resolve_backend(BackendKind::kStateVector, wide_clifford),
             BackendKind::kStateVector);
 }
@@ -134,51 +153,6 @@ TEST(StateVectorBackend, MatchesRawStateVector) {
   for (int i = 0; i < 50; ++i) {
     EXPECT_EQ(backend.sample_index(a), sv.sample(b));
   }
-}
-
-TEST(UnitaryBackend, MatchesStateVectorBitForBit) {
-  Rng gen(12);
-  qir::Circuit c = random_clifford(4, 30, gen);
-  DenseUnitaryBackend unitary(4);
-  unitary.apply(c);
-  StateVectorBackend reference(4);
-  reference.apply(c);
-  // Unprepared const queries (local column-0 rebuild) and prepared ones
-  // (column 0 of the materialized operator) must agree exactly — both run
-  // the statevector kernels.
-  for (std::size_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(unitary.probability(i), reference.probability(i));
-  }
-  unitary.prepare();
-  for (std::size_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(unitary.probability(i), reference.probability(i));
-  }
-  reference.prepare();
-  EXPECT_DOUBLE_EQ(unitary.fidelity_with(reference), 1.0);
-  Rng a(3), b(3);
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(unitary.sample_index(a), reference.sample_index(b));
-  }
-}
-
-TEST(UnitaryBackend, RejectsPauliInjection) {
-  DenseUnitaryBackend backend(2);
-  EXPECT_THROW(backend.apply_pauli('X', 0), InvalidArgument);
-}
-
-TEST(UnitaryBackend, ExposesOperator) {
-  DenseUnitaryBackend backend(1);
-  backend.apply_gate(qir::make_x(0));
-  EXPECT_THROW(backend.unitary(), InvalidArgument);  // requires prepare()
-  backend.prepare();
-  EXPECT_EQ(backend.unitary().at(1, 0), std::complex<double>(1.0, 0.0));
-  EXPECT_EQ(backend.unitary().at(0, 0), std::complex<double>(0.0, 0.0));
-}
-
-TEST(BackendFidelity, StabilizerHasNoDenseState) {
-  StateVectorBackend sv(2);
-  StabilizerBackend stab(2);
-  EXPECT_THROW(sv.fidelity_with(stab), InvalidArgument);
 }
 
 // ----------------------------------------------------------- stabilizer core
@@ -257,44 +231,52 @@ TEST(Stabilizer, UnsupportedGateNamesGateAndIndex) {
 
 TEST(Stabilizer, WideRegisterSampling) {
   // 50 qubits: far past the statevector wall. X(0) + CX staircase gives a
-  // deterministic all-ones outcome; one H fans it into a 2-element support.
+  // deterministic all-ones outcome.
   const int n = 50;
+  qir::Circuit c(n);
+  c.x(0);
+  for (int q = 0; q + 1 < n; ++q) c.cx(q, q + 1);
   StabilizerBackend backend(n);
-  backend.apply_gate(qir::make_x(0));
-  for (int q = 0; q + 1 < n; ++q) backend.apply_gate(qir::make_cx(q, q + 1));
+  backend.apply(c);
   backend.prepare();
   EXPECT_EQ(backend.support_dim(), 0);
   const std::uint64_t all_ones = (std::uint64_t{1} << n) - 1;
   EXPECT_EQ(backend.probability(static_cast<std::size_t>(all_ones)), 1.0);
   Rng rng(9);
-  auto counts = backend.sample(100, {0, 25, 49}, rng);
+  auto counts =
+      ideal_counts(c, BackendKind::kStabilizer, 100, rng, {0, 25, 49});
   EXPECT_EQ(counts["111"], 100u);
 }
 
 // ------------------------------------------------- the differential harness
 
 TEST(BackendDifferential, CliffordCountsMatchStateVectorShotForShot) {
-  // ISSUE 7 satellite: random Clifford circuits at 4..12 qubits; the
-  // stabilizer histogram must equal the statevector histogram EXACTLY under
-  // the same stream seeds — same keys, same counts, shot for shot.
-  for (int num_qubits = 4; num_qubits <= 12; num_qubits += 2) {
-    for (std::uint64_t seed = 0; seed < 3; ++seed) {
+  // Random Clifford circuits at 4..16 qubits (3 seeds, 500 shots) and at
+  // the auto policy's statevector ceiling (1 seed, 64 shots); the stabilizer
+  // histogram must equal the statevector histogram EXACTLY under the same
+  // stream seeds — same keys, same counts, shot for shot.
+  for (int num_qubits :
+       {4, 6, 8, 10, 12, 14, 16, kAutoStateVectorCeilingQubits}) {
+    const bool widest = num_qubits == kAutoStateVectorCeilingQubits;
+    const std::uint64_t seeds = widest ? 1 : 3;
+    const std::size_t shots = widest ? 64 : 500;
+    for (std::uint64_t seed = 0; seed < seeds; ++seed) {
       Rng gen(1000 * static_cast<std::uint64_t>(num_qubits) + seed);
       qir::Circuit c = random_clifford(num_qubits, 8 * num_qubits, gen);
+
+      Rng rng_sv(77 + seed), rng_stab(77 + seed);
+      EXPECT_EQ(ideal_counts(c, BackendKind::kStateVector, shots, rng_sv),
+                ideal_counts(c, BackendKind::kStabilizer, shots, rng_stab))
+          << "divergence at " << num_qubits << " qubits, seed " << seed;
+      // Both engines must also leave the caller's generator in the same
+      // state (exactly one u64 consumed each).
+      EXPECT_EQ(rng_sv.next_u64(), rng_stab.next_u64());
+      if (widest) continue;  // counts only: the dense run dominates at 2^20
 
       StateVectorBackend sv(num_qubits);
       sv.apply(c);
       StabilizerBackend stab(num_qubits);
       stab.apply(c);
-
-      Rng rng_sv(77 + seed), rng_stab(77 + seed);
-      auto counts_sv = sv.sample(500, {}, rng_sv);
-      auto counts_stab = stab.sample(500, {}, rng_stab);
-      EXPECT_EQ(counts_sv, counts_stab)
-          << "divergence at " << num_qubits << " qubits, seed " << seed;
-      // Both engines must also leave the caller's generator in the same
-      // state (exactly one u64 consumed each).
-      EXPECT_EQ(rng_sv.next_u64(), rng_stab.next_u64());
 
       // The measured marginal agrees to the last ulp. (Not bit-equal: the
       // statevector's marginal sums accumulate norms that can sit an ulp
@@ -407,25 +389,7 @@ TEST(BackendDifferential, CompiledCliffordCircuitStaysClifford) {
   }
 }
 
-// --------------------------------------------------- gate-noise capability
-
-TEST(BackendSampler, UnitaryEngineRejectsGateNoise) {
-  qir::Circuit c(2);
-  c.h(0).cx(0, 1);
-  NoiseModel noise;
-  noise.p1 = 0.1;
-  SampleOptions opts;
-  opts.shots = 10;
-  opts.backend = BackendKind::kUnitary;
-  Rng rng(1);
-  EXPECT_THROW(sample(c, noise, rng, opts), InvalidArgument);
-  // Readout-only noise is fine: it never touches the register mid-circuit.
-  noise.p1 = 0.0;
-  noise.readout = 0.05;
-  Rng rng2(1);
-  auto counts = sample(c, noise, rng2, opts);
-  EXPECT_EQ(counts.shots, 10u);
-}
+// ---------------------------------------------------------- unsupported gates
 
 TEST(BackendSampler, ExplicitStabilizerOnNonCliffordFailsStructured) {
   qir::Circuit c(2);
@@ -451,15 +415,11 @@ TEST(BackendFingerprint, MixedOnlyWhenResolvedOffDefault) {
   const std::uint64_t fp_sv = service::flow_fingerprint(job);
   job.config.backend = BackendKind::kStabilizer;
   const std::uint64_t fp_stab = service::flow_fingerprint(job);
-  job.config.backend = BackendKind::kUnitary;
-  const std::uint64_t fp_unitary = service::flow_fingerprint(job);
 
   // auto resolves to the statevector on this narrow circuit: all default
   // spellings share the pre-backend fingerprint.
   EXPECT_EQ(fp_auto, fp_sv);
   EXPECT_NE(fp_stab, fp_sv);
-  EXPECT_NE(fp_unitary, fp_sv);
-  EXPECT_NE(fp_unitary, fp_stab);
 
   // On a wide Clifford circuit auto resolves to the stabilizer, and the
   // fingerprint follows the resolution, not the spelling.

@@ -6,7 +6,7 @@
 //  - fused-vs-unfused agreement holds at 1, 2, and 8 worker threads, and the
 //    parallel fused sweeps are bit-identical to the serial fused sweeps;
 //  - a plan never merges across a Barrier gate or an explicit
-//    FusionOptions::boundaries fence (the noise/measurement contract);
+//    FusionOptions::boundaries fence (the measurement/snapshot contract);
 //  - fusion is opt-in: SampleOptions defaults to fuse == false, and the
 //    default equals an explicit fuse=false run exactly. (Byte-identity of
 //    fuse-off output against a literally pre-fusion build cannot be pinned
@@ -223,8 +223,8 @@ TEST(FusionPlan, BarrierIsAFusionFence) {
 
 TEST(FusionPlan, ExplicitBoundaryIsAFusionFence) {
   // Same stream, no Barrier gate: the caller-supplied fence must split the
-  // would-be 4-gate gang exactly like the barrier does. This is the sampler's
-  // noise-site contract expressed directly.
+  // would-be 4-gate gang exactly like the barrier does: a caller's
+  // measurement or snapshot index is never fused across.
   qir::Circuit c(2);
   c.h(0).h(1).h(0).h(1);
   FusionOptions options;
@@ -455,69 +455,6 @@ TEST(ApplyFused, RejectsWiderPlans) {
   auto plan = FusionPlan::build(c);
   StateVector narrow(2);
   EXPECT_THROW(narrow.apply_fused(plan), InvalidArgument);
-}
-
-// ------------------------------------------------------ apply_fused_prefix
-
-TEST(ApplyFusedPrefix, PrefixPlusUnfusedTailEqualsFullRun) {
-  // The errored-trajectory contract: replaying the fused prefix through any
-  // boundary and finishing gate by gate from the returned index must equal
-  // the full unfused run — whatever the boundary cuts through.
-  Rng rng(71);
-  qir::Circuit c = random_fusible(5, 60, rng);
-  const auto plan = FusionPlan::build(c);
-  StateVector unfused(5);
-  unfused.apply_circuit(c);
-  const auto& gates = c.gates();
-  for (std::size_t gate_end = 0; gate_end <= gates.size(); ++gate_end) {
-    StateVector sv(5);
-    const std::size_t next = apply_fused_prefix(sv, plan, gate_end);
-    EXPECT_LE(next, gate_end);
-    for (std::size_t i = next; i < gates.size(); ++i) sv.apply_gate(gates[i]);
-    EXPECT_LT(sv.max_abs_diff(unfused), 1e-9) << "gate_end=" << gate_end;
-  }
-}
-
-TEST(ApplyFusedPrefix, StraddlingOpIsSkippedEntirely) {
-  qir::Circuit c(2);
-  c.h(0).t(0).sx(0);  // one same-qubit run: one op spanning gates [0, 3)
-  c.barrier();        // gate index 3, dropped by the planner
-  c.x(1);             // gate index 4, its own op
-  const auto plan = FusionPlan::build(c);
-  ASSERT_EQ(plan.ops().size(), 2u);
-  ASSERT_EQ(plan.ops()[0].gate_count, 3u);
-
-  // A boundary inside the run: NO fused arithmetic may cross it, so the
-  // whole op is skipped and the state is untouched.
-  StateVector sv(2);
-  EXPECT_EQ(apply_fused_prefix(sv, plan, 2), 0u);
-  EXPECT_EQ(sv.max_abs_diff(StateVector(2)), 0.0);
-
-  // Boundary exactly after the run: the op applies, the x(1) op does not.
-  StateVector after_run(2);
-  EXPECT_EQ(apply_fused_prefix(after_run, plan, 3), 3u);
-  StateVector run_only(2);
-  run_only.apply_fused_op(plan.ops()[0]);
-  EXPECT_EQ(after_run.max_abs_diff(run_only), 0.0);
-
-  // Boundary on the barrier itself behaves like "after the run".
-  StateVector on_barrier(2);
-  EXPECT_EQ(apply_fused_prefix(on_barrier, plan, 4), 3u);
-  EXPECT_EQ(on_barrier.max_abs_diff(run_only), 0.0);
-}
-
-TEST(ApplyFusedPrefix, FullPrefixIsBitIdenticalToApplyFused) {
-  Rng rng(83);
-  qir::Circuit c = random_fusible(6, 50, rng);
-  const auto plan = FusionPlan::build(c);
-  StateVector whole(6);
-  whole.apply_fused(plan);
-  // apply_fused may tile the traversal; the prefix path applies ops one by
-  // one. Tiling is bit-identical to per-op execution, so the outputs still
-  // match exactly.
-  StateVector prefix(6);
-  EXPECT_EQ(apply_fused_prefix(prefix, plan, c.gates().size()), c.gates().size());
-  EXPECT_EQ(prefix.max_abs_diff(whole), 0.0);
 }
 
 }  // namespace

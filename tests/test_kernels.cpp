@@ -150,8 +150,8 @@ TEST(SimdKernels, ChunkSplitIsBitIdentical) {
 }
 
 // A gang of k unmerged 2x2s must reproduce k consecutive 1q sweeps
-// amplitude-for-amplitude IN BOTH MODES — the property the fused-prefix
-// sampler fix leans on for its bit-identity pin.
+// amplitude-for-amplitude IN BOTH MODES — the property the sampler's
+// fused-vs-unfused bit-identity pin (SamplerFused) leans on.
 TEST(SimdKernels, GangMatchesSequential1qSweepsBitwise) {
   std::vector<SingleQubitOp> ops;
   Rng rng(13);

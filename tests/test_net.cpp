@@ -35,8 +35,7 @@ namespace tetris::net {
 namespace {
 
 /// Small submit body for the built-in benchmark `name`. A non-empty
-/// `backend` adds the config field ("auto"/"statevector"/"stabilizer"/
-/// "unitary").
+/// `backend` adds the config field ("auto"/"statevector"/"stabilizer").
 std::string submit_body(const std::string& name, std::uint64_t seed = 2025,
                         std::size_t shots = 64,
                         const std::string& backend = "") {
@@ -424,13 +423,12 @@ TEST(NetServer, StatusListsBackendRegistryAndPerEngineTallies) {
 
   auto doc = json::parse(client.get("/v1/status").body);
   const auto& backends = doc.at("backends");
-  ASSERT_EQ(backends.size(), 3u);
+  ASSERT_EQ(backends.size(), 2u);
   EXPECT_FALSE(backends.at("statevector").at("clifford_only").as_bool());
   EXPECT_TRUE(backends.at("statevector").at("supports_noise").as_bool());
   EXPECT_TRUE(backends.at("stabilizer").at("clifford_only").as_bool());
   EXPECT_EQ(backends.at("stabilizer").at("max_qubits").as_int(), 64);
-  EXPECT_EQ(backends.at("unitary").at("max_qubits").as_int(), 12);
-  EXPECT_FALSE(backends.at("unitary").at("supports_noise").as_bool());
+  EXPECT_TRUE(backends.at("stabilizer").at("supports_noise").as_bool());
   // Every engine has both terminal series from the start, at zero.
   const auto& terminal =
       doc.at("metrics").at("tetris_jobs_terminal_total").at("samples");
@@ -628,6 +626,12 @@ TEST(NetServer, BackendConfigEchoAndValidation) {
       "/v1/jobs",
       R"({"benchmark":"4mod5","seed":1,"config":{"backend":7}})");
   EXPECT_EQ(bad_type.status, 400);
+  // "unitary" names no engine.
+  auto unitary =
+      client.post("/v1/jobs", submit_body("4mod5", 2025, 64, "unitary"));
+  EXPECT_EQ(unitary.status, 400);
+  EXPECT_EQ(json::parse(unitary.body).at("error").at("code").as_string(),
+            "invalid_argument");
 
   // Forcing the stabilizer onto a non-Clifford benchmark is accepted at
   // submit time but fails in the flow with the structured UnsupportedGate

@@ -298,17 +298,17 @@ TEST(SamplerEdge, EmptyCircuitSamplesAllZeros) {
   EXPECT_EQ(counts.count("000"), 50u);
 }
 
-TEST(SamplerFusedPrefix, NoisyHistogramBitIdenticalFusedVsUnfused) {
-  // Pin of the errored-shot fused-prefix path on an EXACTLY fusible circuit:
-  // rows where each qubit appears once (gangs of unmerged singles — the
-  // exact per-amplitude arithmetic of the unfused stream), CCX passthroughs,
-  // and lone CXs (the next gate is outside the pair, so no 4x4 matrix
-  // product forms). With no inexact fusion anywhere, the ideal run, every
-  // errored shot's fused prefix, and its unfused tail are all bit-identical
-  // to the fuse=false path — the histograms must match EXACTLY, in both
-  // SIMD modes. Before the fix, errored shots re-ran fully unfused, which
-  // this test would not catch — but a prefix that drifted from the unfused
-  // stream by even one ULP would flip threshold comparisons and fail it.
+TEST(SamplerFused, NoisyHistogramBitIdenticalFusedVsUnfused) {
+  // Pin of `fuse` under gate noise on an EXACTLY fusible circuit: rows
+  // where each qubit appears once (gangs of unmerged singles — the exact
+  // per-amplitude arithmetic of the unfused stream), CCX passthroughs, and
+  // lone CXs (the next gate is outside the pair, so no 4x4 matrix product
+  // forms). With no inexact fusion anywhere, the fused ideal run that serves
+  // the error-free shots is bit-identical to the unfused one, and errored
+  // shots replay the unfused gate stream either way — so the histograms
+  // must match EXACTLY, in both SIMD modes. An ideal run that drifted from
+  // the unfused stream by even one ULP would flip threshold comparisons and
+  // fail it.
   qir::Circuit c(4);
   c.h(0).h(1).h(2).h(3);
   c.barrier();  // fences the rows so no same-qubit 2x2 product forms

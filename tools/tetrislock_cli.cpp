@@ -27,10 +27,11 @@
 //              --fuse turns on gate fusion in the noisy verification's
 //              ideal statevector runs (sim/fusion.h): adjacent gates merge
 //              into combined kernels, cutting amplitude sweeps on wide
-//              registers. Off by default — fused kernels reorder floating
-//              point, so sampled metrics shift within shot noise and the
-//              flag is part of the result-cache fingerprint.
-//              --backend auto|statevector|stabilizer|unitary picks the
+//              registers; errored trajectories replay gate by gate.
+//              Off by default — fused kernels reorder floating point, so
+//              sampled metrics shift within shot noise and the flag is part
+//              of the result-cache fingerprint.
+//              --backend auto|statevector|stabilizer picks the
 //              simulation engine of the sampled runs (src/sim/backend/).
 //              auto (the default) resolves to the statevector unless the
 //              circuit is Clifford and wider than the statevector's auto
@@ -908,9 +909,9 @@ int usage() {
                "       protect: --shots N --sample-jobs N  (trajectory count "
                "+ sampler fan-out)\n"
                "       protect: --fuse  (gate-fused statevector kernels in "
-               "the sampled runs)\n"
+               "the ideal runs)\n"
                "       protect/submit: --backend "
-               "auto|statevector|stabilizer|unitary  (simulation engine; "
+               "auto|statevector|stabilizer  (simulation engine; "
                "auto = stabilizer for wide Clifford circuits)\n"
                "       protect: --cache --out-json FILE  (service result "
                "cache + JSON output)\n"
