@@ -47,6 +47,12 @@ class ByteWriter {
   ByteWriter& str(std::string_view s);
   /// Raw bytes, no length prefix (for magic tags).
   ByteWriter& raw(const void* data, std::size_t size);
+  /// Sizes the buffer for `total` bytes up front, so a writer whose final
+  /// size is known allocates once and keeps no growth slack.
+  ByteWriter& reserve(std::size_t total) {
+    out_.reserve(total);
+    return *this;
+  }
 
   std::size_t size() const { return out_.size(); }
   const std::string& bytes() const { return out_; }

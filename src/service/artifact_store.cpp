@@ -110,7 +110,11 @@ std::string encode_artifact(const ArtifactKey& key,
   lock::write_flow_result(payload, result);
   const std::string payload_bytes = std::move(payload).take();
 
+  // Reserved exactly: appending the checksum to a full buffer would double
+  // it, and the store, the LRU and the job record all share this string.
   ByteWriter w;
+  w.reserve(kArtifactHeaderBytes + payload_bytes.size() +
+            kArtifactTrailerBytes);
   w.raw(kArtifactMagic, sizeof(kArtifactMagic));
   w.u32(kArtifactVersion);
   w.u64(key.circuit_hash);

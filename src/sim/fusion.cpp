@@ -76,9 +76,6 @@ void two_qubit_matrix(const qir::Gate& gate, int a, int b, cplx out[4][4]) {
 
 FusionPlan FusionPlan::build(const qir::Circuit& circuit,
                              const FusionOptions& options) {
-  TETRIS_REQUIRE(
-      std::is_sorted(options.boundaries.begin(), options.boundaries.end()),
-      "FusionPlan: boundaries must be sorted ascending");
   TETRIS_REQUIRE(options.max_gang_qubits >= 1 &&
                      options.max_gang_qubits <= StateVector::kMaxGangQubits,
                  "FusionPlan: max_gang_qubits out of range");
@@ -86,10 +83,6 @@ FusionPlan FusionPlan::build(const qir::Circuit& circuit,
   FusionPlan plan;
   plan.num_qubits_ = circuit.num_qubits();
   const auto& gates = circuit.gates();
-  const auto fence_before = [&](std::size_t j) {
-    return std::binary_search(options.boundaries.begin(),
-                              options.boundaries.end(), j);
-  };
   const auto emit_passthrough = [&](std::size_t index) {
     FusedOp op;
     op.kind = FusedOp::Kind::kGate;
@@ -112,11 +105,10 @@ FusionPlan FusionPlan::build(const qir::Circuit& circuit,
 
     if (is_single_qubit_gate(g)) {
       // Window of consecutive 1q gates on at most max_gang_qubits distinct
-      // qubits, stopped by fences, barriers, and multi-qubit gates.
+      // qubits, stopped by barriers and multi-qubit gates.
       std::vector<int> order;  // distinct qubits, first-occurrence order
       std::size_t j = i;
       while (j < gates.size()) {
-        if (j > i && fence_before(j)) break;
         const qir::Gate& h = gates[j];
         if (!is_single_qubit_gate(h)) break;
         const int q = h.qubits[0];
@@ -179,11 +171,7 @@ FusionPlan FusionPlan::build(const qir::Circuit& circuit,
       const int a = g.qubits[0];
       const int b = g.qubits[1];
       std::size_t j = i;
-      while (j < gates.size()) {
-        if (j > i && fence_before(j)) break;
-        if (!acts_within_pair(gates[j], a, b)) break;
-        ++j;
-      }
+      while (j < gates.size() && acts_within_pair(gates[j], a, b)) ++j;
       const std::size_t count = j - i;
       plan.stats_.gates_in += count;
       if (count == 1) {

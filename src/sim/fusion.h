@@ -10,13 +10,6 @@ namespace tetris::sim {
 
 /// Knobs of the fusion pass (FusionPlan::build).
 struct FusionOptions {
-  /// Fusion fences by gate index, sorted ascending: a boundary value `i`
-  /// fences BEFORE gate i, so gates at indices < i never merge with gates at
-  /// indices >= i. This is how callers mark a point where the state must
-  /// be observable — a measurement, a snapshot of the register — without
-  /// editing the circuit. Barrier gates are implicit fences on top of these.
-  std::vector<std::size_t> boundaries;
-
   /// Largest number of distinct qubits one gang sweep may cover. Capped by
   /// StateVector::kMaxGangQubits (the kernel's scratch block is
   /// 2^max_gang_qubits amplitudes).
@@ -38,7 +31,7 @@ struct FusionStats {
 /// One executable unit of a FusionPlan — exactly one amplitude sweep.
 ///
 /// `first_gate` / `gate_count` tie the op back to the source gate stream
-/// (barriers included in the indexing), which is what the boundary tests and
+/// (barriers included in the indexing), which is what the fence tests and
 /// the stats assert on.
 struct FusedOp {
   enum class Kind {
@@ -71,11 +64,12 @@ struct FusedOp {
 /// so a lone CX, SWAP or controlled phase runs the subspace kernels, which
 /// touch only its control subspace.
 ///
-/// **Fences.** No fused op ever spans a Barrier gate or a
-/// FusionOptions::boundaries index, so at every fence the register holds
-/// the unfused stream's state at that gate index (up to the rounding noted
-/// below). sim::sample runs a plan only for the noise-free ideal run; an
-/// errored trajectory replays the unfused gate stream.
+/// **Fences.** No fused op ever spans a Barrier gate, so at every barrier
+/// the register holds the unfused stream's state at that gate index (up to
+/// the rounding noted below). sim::sample runs a plan only for the
+/// noise-free ideal run. Its errored trajectories replay the unfused gate
+/// stream from checkpoints taken on an unfused walk, because a fused state
+/// is only tolerance-equal to the unfused prefix, not bit-identical.
 ///
 /// **Floating point.** Merging gates multiplies their matrices, which
 /// reorders FP arithmetic: a fused run is tolerance-equal to the unfused one
@@ -88,7 +82,7 @@ struct FusedOp {
 class FusionPlan {
  public:
   /// Plans the fused execution of `circuit`. Throws InvalidArgument if
-  /// `options.boundaries` is unsorted or `max_gang_qubits` is out of range.
+  /// `options.max_gang_qubits` is out of range.
   static FusionPlan build(const qir::Circuit& circuit,
                           const FusionOptions& options = {});
 

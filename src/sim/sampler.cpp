@@ -1,6 +1,7 @@
 #include "sim/sampler.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 
@@ -63,6 +64,52 @@ std::size_t apply_readout(std::size_t index, const std::vector<int>& measured,
   return index;
 }
 
+/// Memory one sample() call may spend on checkpoints.
+constexpr std::size_t kCheckpointBudgetBytes = std::size_t{2} << 20;
+
+/// Noise-free states of the unfused gate stream that errored shots start
+/// from. `states[m - 1]` is the register after gates [0, m * spacing), i.e.
+/// just before gate m * spacing. Each is an exact copy of the gate-by-gate
+/// prefix, so a replay from it runs the very arithmetic of a replay from
+/// gate 0 and the counts stay bit-identical.
+struct Checkpoints {
+  std::size_t spacing = 0;  ///< gates between checkpoints; 0 when none
+  /// States the walk takes: one per multiple of `spacing` below the gate
+  /// count, so e / spacing <= count for every gate index e.
+  std::size_t count = 0;
+  std::vector<StateVector> states;
+};
+
+/// Spaces checkpoints K = max(ceil(sqrt(G)), ceil(G / (S + 1))) gates apart
+/// over a G-gate stream, where S is how many registers of `num_qubits`
+/// fit the budget: √G spacing balances copies against replayed gates, and
+/// the budget caps the copies at S (none when S = 0, since K is then G).
+Checkpoints plan_checkpoints(std::size_t num_gates, int num_qubits) {
+  Checkpoints cp;
+  if (num_gates == 0) return cp;
+  const std::size_t budget =
+      kCheckpointBudgetBytes / (sizeof(cplx) << num_qubits);
+  const auto root = static_cast<std::size_t>(
+      std::ceil(std::sqrt(static_cast<double>(num_gates))));
+  cp.spacing = std::max(root, (num_gates + budget) / (budget + 1));
+  cp.count = (num_gates - 1) / cp.spacing;
+  cp.states.reserve(cp.count);
+  return cp;
+}
+
+/// Applies gates [0, stop) to `sv` one by one, copying the register into
+/// `cp` at each checkpoint it passes.
+void walk(const std::vector<qir::Gate>& gates, std::size_t stop,
+          StateVector& sv, Checkpoints& cp) {
+  for (std::size_t i = 0; i < stop; ++i) {
+    sv.apply_gate(gates[i]);
+    if (cp.states.size() < cp.count &&
+        i + 1 == (cp.states.size() + 1) * cp.spacing) {
+      cp.states.push_back(sv);
+    }
+  }
+}
+
 /// Read-only context shared by every shard worker of one sample() call.
 /// All pointers reference data owned by sample()'s frame, which outlives
 /// every access (see the straggler-safety note in runtime::run_chunked).
@@ -75,7 +122,22 @@ struct SampleContext {
   const std::vector<double>* error_probs = nullptr;  ///< per gate index
   bool any_gate_noise = false;
   std::uint64_t base_seed = 0;  ///< base of the per-shot stream family
+  const Checkpoints* checkpoints = nullptr;  ///< empty off the statevector
 };
+
+/// Puts `traj` in the noise-free state of the last checkpoint at or before
+/// gate `first_error` (|0...0> when there is none) and returns the index of
+/// the first gate left to replay.
+std::size_t restore(const Checkpoints& cp, std::size_t first_error,
+                    Backend& traj) {
+  const std::size_t m = cp.states.empty() ? 0 : first_error / cp.spacing;
+  if (m == 0) {
+    traj.reset();
+    return 0;
+  }
+  static_cast<StateVectorBackend&>(traj).state() = cp.states[m - 1];
+  return m * cp.spacing;
+}
 
 /// Runs shots [begin, end) of the deterministic shot grid into `out`.
 ///
@@ -86,8 +148,9 @@ struct SampleContext {
 /// and an engine swap reproduces the statevector's shots wherever the
 /// engine's arithmetic agrees with it (exactly so on the Clifford grid).
 /// An error-free shot draws from the shared ideal run (fused or not); an
-/// errored shot replays the unfused gate stream on its own register,
-/// injecting at each error site in order.
+/// errored shot restores the last checkpoint at or before its first error
+/// site and replays the rest of the unfused gate stream on its own
+/// register, injecting at each error site in order.
 void run_shot_range(const SampleContext& ctx, std::size_t begin,
                     std::size_t end, Counts& out) {
   const auto& gates = ctx.circuit->gates();
@@ -113,9 +176,10 @@ void run_shot_range(const SampleContext& ctx, std::size_t begin,
     if (error_sites.empty()) {
       raw = ctx.ideal->sample_index(rng);
     } else {
-      traj->reset();
+      const std::size_t start =
+          restore(*ctx.checkpoints, error_sites.front(), *traj);
       std::size_t next_err = 0;
-      for (std::size_t i = 0; i < gates.size(); ++i) {
+      for (std::size_t i = start; i < gates.size(); ++i) {
         traj->apply_gate(gates[i]);
         if (next_err < error_sites.size() && error_sites[next_err] == i) {
           inject_depolarizing(*traj, gates[i].qubits, rng);
@@ -222,14 +286,30 @@ Counts sample(const qir::Circuit& circuit, const NoiseModel& noise, Rng& rng,
 
   // One prepared noise-free run serves every error-free shot, shared
   // read-only by all shard workers; errored shots re-simulate on their own
-  // trajectory registers of the same engine.
+  // trajectory registers of the same engine, from the checkpoints built
+  // here on the statevector.
   const BackendKind resolved = resolve_backend(options.backend, circuit);
   std::unique_ptr<Backend> ideal = make_backend(resolved, circuit.num_qubits());
-  // `fuse` is a statevector kernel detail and touches only the ideal run;
-  // errored trajectories replay the unfused gate stream (run_shot_range).
-  if (options.fuse && resolved == BackendKind::kStateVector) {
-    static_cast<StateVectorBackend&>(*ideal).state().apply_fused(
-        FusionPlan::build(circuit));
+  Checkpoints checkpoints;
+  if (resolved == BackendKind::kStateVector) {
+    if (any_gate_noise) {
+      checkpoints = plan_checkpoints(gates.size(), circuit.num_qubits());
+    }
+    StateVector& sv = static_cast<StateVectorBackend&>(*ideal).state();
+    // `fuse` is a statevector kernel detail and touches only the ideal run.
+    // Checkpoints must be exact prefixes of the unfused stream that errored
+    // shots replay, so a fused ideal run needs one more walk, stopping at
+    // the last checkpoint; an unfused ideal run is that walk itself.
+    if (options.fuse) {
+      sv.apply_fused(FusionPlan::build(circuit));
+      if (checkpoints.count > 0) {
+        StateVector prefix(circuit.num_qubits());
+        walk(gates, checkpoints.count * checkpoints.spacing, prefix,
+             checkpoints);
+      }
+    } else {
+      walk(gates, gates.size(), sv, checkpoints);
+    }
   } else {
     ideal->apply(circuit);  // structured UnsupportedGate on an unsupported gate
   }
@@ -246,6 +326,7 @@ Counts sample(const qir::Circuit& circuit, const NoiseModel& noise, Rng& rng,
   ctx.error_probs = &error_probs;
   ctx.any_gate_noise = any_gate_noise;
   ctx.base_seed = base_seed;
+  ctx.checkpoints = &checkpoints;
 
   if (width == 1 || num_chunks <= 1) {
     run_shot_range(ctx, 0, options.shots, counts);

@@ -85,7 +85,8 @@ struct SampleOptions {
   /// Fuse adjacent gates of the ideal (noise-free) run into combined
   /// kernels (sim/fusion.h) so each amplitude sweep does more arithmetic
   /// per byte. Only the ideal run is planned and fused; errored
-  /// trajectories replay the unfused gate stream gate by gate.
+  /// trajectories replay the unfused gate stream gate by gate, from
+  /// checkpoints that one extra unfused walk takes (see `sample`).
   /// Fused sweeps reorder floating-point arithmetic, so fused counts are
   /// tolerance-equal — NOT bit-identical — to unfused ones; the knob is
   /// therefore off by default and, unlike `threads`, part of
@@ -114,6 +115,16 @@ struct SampleOptions {
 /// engine; shots on which at least one gate error fires are re-simulated as
 /// individual Pauli trajectories on that engine. Readout errors are applied
 /// per shot.
+///
+/// **Checkpoints.** On the statevector, an errored trajectory does not
+/// start from |0...0>: it copies the noise-free register at the last
+/// checkpoint at or before its first error site and replays only the rest
+/// of the gate stream. Checkpoints are exact copies of the unfused stream's
+/// prefix, taken during the unfused ideal run or, with `fuse`, on one extra
+/// unfused walk, so the replayed arithmetic and the counts are exactly
+/// those of a replay from gate 0. They are K = max(ceil(sqrt(G)),
+/// ceil(G / (S + 1))) gates apart over G gates, where S registers fit in a
+/// fixed 2 MiB budget, so at most S are held (none from 18 qubits up).
 ///
 /// **Determinism contract.** The call consumes exactly one 64-bit draw from
 /// `rng` — the base of a SplitMix64 stream family — and trajectory `i` then

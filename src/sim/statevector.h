@@ -51,10 +51,13 @@ struct SingleQubitOp {
 /// out at 12 qubits (4096 amplitudes), far below any practical limit.
 class StateVector {
  public:
-  /// Registers below this width (in qubits) always use the serial kernels:
-  /// at 2^14 amplitudes a gate is ~microseconds of work, below the cost of
-  /// waking the pool.
-  static constexpr int kDefaultParallelThresholdQubits = 14;
+  /// Registers below this width (in qubits) always use the serial kernels.
+  /// Below 2^16 amplitudes a gate costs less than a trip through the pool:
+  /// issued from a non-worker thread to 4 workers on a 4-core AVX2 host, a
+  /// CX/RY/RZ mix took 21-23 us per gate against 13-18 us serial at 14
+  /// qubits and 45-50 us against 24-28 us at 15; the paths are within 10%
+  /// at 16 qubits, and the pool wins from 17 (78-89 us against 111-118 us).
+  static constexpr int kDefaultParallelThresholdQubits = 16;
 
   /// Widest register: 2^28 amplitudes are 4 GiB.
   static constexpr int kMaxQubits = 28;

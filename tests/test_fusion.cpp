@@ -5,13 +5,12 @@
 //    sim::unitary reference, on randomized 4-12 qubit circuits;
 //  - fused-vs-unfused agreement holds at 1, 2, and 8 worker threads, and the
 //    parallel fused sweeps are bit-identical to the serial fused sweeps;
-//  - a plan never merges across a Barrier gate or an explicit
-//    FusionOptions::boundaries fence (the measurement/snapshot contract);
+//  - a plan never merges across a Barrier gate (the fence contract);
 //  - fusion is opt-in: SampleOptions defaults to fuse == false, and the
 //    default equals an explicit fuse=false run exactly. (Byte-identity of
 //    fuse-off output against a literally pre-fusion build cannot be pinned
 //    from inside one build; it was verified against a pre-PR binary — see
-//    CHANGES.md — and the all-fences test below pins the in-build
+//    CHANGES.md — and the all-barriers test below pins the in-build
 //    equivalent: passthrough plans run the exact apply_circuit path.)
 
 #include "sim/fusion.h"
@@ -190,9 +189,6 @@ TEST(FusionPlan, MaxGangQubitsCapsTheWindow) {
 TEST(FusionPlan, OptionValidation) {
   qir::Circuit c(1);
   c.h(0);
-  FusionOptions unsorted;
-  unsorted.boundaries = {3, 1};
-  EXPECT_THROW(FusionPlan::build(c, unsorted), InvalidArgument);
   FusionOptions too_big;
   too_big.max_gang_qubits = StateVector::kMaxGangQubits + 1;
   EXPECT_THROW(FusionPlan::build(c, too_big), InvalidArgument);
@@ -201,7 +197,7 @@ TEST(FusionPlan, OptionValidation) {
   EXPECT_THROW(FusionPlan::build(c, zero), InvalidArgument);
 }
 
-// ------------------------------------------------------ fences / boundaries
+// ------------------------------------------------------------------ fences
 
 TEST(FusionPlan, BarrierIsAFusionFence) {
   qir::Circuit c(2);
@@ -221,34 +217,16 @@ TEST(FusionPlan, BarrierIsAFusionFence) {
   EXPECT_LT(fused.max_abs_diff(unfused), 1e-12);
 }
 
-TEST(FusionPlan, ExplicitBoundaryIsAFusionFence) {
-  // Same stream, no Barrier gate: the caller-supplied fence must split the
-  // would-be 4-gate gang exactly like the barrier does: a caller's
-  // measurement or snapshot index is never fused across.
-  qir::Circuit c(2);
-  c.h(0).h(1).h(0).h(1);
-  FusionOptions options;
-  options.boundaries = {2};
-  auto plan = FusionPlan::build(c, options);
-  ASSERT_EQ(plan.ops().size(), 2u);
-  EXPECT_EQ(plan.ops()[0].first_gate, 0u);
-  EXPECT_EQ(plan.ops()[0].gate_count, 2u);
-  EXPECT_EQ(plan.ops()[1].first_gate, 2u);
-  EXPECT_EQ(plan.ops()[1].gate_count, 2u);
-  EXPECT_TRUE(no_op_spans(plan, 2));
-}
-
 TEST(FusionPlan, BoundaryFencesPairWindowsToo) {
   qir::Circuit c(2);
-  c.cx(0, 1).cz(0, 1).cx(0, 1).cz(0, 1);
-  FusionOptions options;
-  options.boundaries = {2};
-  auto plan = FusionPlan::build(c, options);
+  c.cx(0, 1).cz(0, 1).barrier().cx(0, 1).cz(0, 1);  // barrier at index 2
+  auto plan = FusionPlan::build(c);
   ASSERT_EQ(plan.ops().size(), 2u);
   for (const FusedOp& op : plan.ops()) {
     EXPECT_EQ(op.kind, FusedOp::Kind::kTwoQubit);
     EXPECT_EQ(op.gate_count, 2u);
   }
+  EXPECT_EQ(plan.ops()[1].first_gate, 3u);
   EXPECT_TRUE(no_op_spans(plan, 2));
 }
 
@@ -257,9 +235,9 @@ TEST(FusionPlan, FenceBeforeEveryGateIsBitIdenticalToApplyCircuit) {
   // exact (bitwise) check — the `--fuse` off-path contract in miniature.
   Rng rng(7);
   auto c = random_fusible(6, 80, rng);
-  FusionOptions options;
-  for (std::size_t i = 1; i < c.size(); ++i) options.boundaries.push_back(i);
-  auto plan = FusionPlan::build(c, options);
+  qir::Circuit fenced(6);
+  for (const qir::Gate& g : c.gates()) fenced.add(g).barrier();
+  auto plan = FusionPlan::build(fenced);
   EXPECT_EQ(plan.stats().gates_fused, 0u);
 
   StateVector fused(6), unfused(6);

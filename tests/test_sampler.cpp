@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <set>
+
 #include "common/error.h"
 #include "qir/library.h"
 #include "runtime/thread_pool.h"
+#include "sim/fusion.h"
 #include "sim/kernels/simd.h"
+#include "sim/statevector.h"
 
 namespace tetris::sim {
 namespace {
@@ -344,6 +350,180 @@ TEST(SamplerFused, NoisyHistogramBitIdenticalFusedVsUnfused) {
         << kernels::simd_mode_name(mode);
   }
   kernels::set_simd_mode(saved);
+}
+
+// ------------------------------------------------ independent shot loop
+
+/// What the reference shot loop produced for both settings of `fuse`, plus
+/// where its gate errors fell, so a test can show which replay starts it
+/// exercised.
+struct ReferenceRun {
+  Counts unfused;
+  Counts fused;
+  std::set<std::size_t> first_errors;  ///< first error site per errored shot
+  std::set<std::size_t> error_sites;   ///< every error site of every shot
+};
+
+/// The per-shot contract of `sample` written out directly, with no
+/// checkpoints, sharding or engine layer: one base draw, and shot i on
+/// Rng::for_stream(base, i); a Bernoulli draw per gate in gate order
+/// (barriers and zero-probability gates draw nothing); an errored shot
+/// replays every gate from |0...0>, injecting a uniform non-identity Pauli
+/// string after each error site; one uniform for the outcome, drawn from
+/// the ideal state (apply_circuit, or apply_fused when fused) if no gate
+/// erred; then one readout flip draw per qubit. All qubits are measured.
+/// Errored shots do not depend on `fuse`, so one pass serves both.
+ReferenceRun reference_sample(const qir::Circuit& c, const NoiseModel& noise,
+                              std::uint64_t seed, std::size_t shots) {
+  const int n = c.num_qubits();
+  const auto& gates = c.gates();
+  StateVector unfused_ideal(n), fused_ideal(n), sv(n);
+  unfused_ideal.apply_circuit(c);
+  fused_ideal.apply_fused(FusionPlan::build(c));
+  const auto record = [&](std::size_t raw, Rng r, Counts& out) {
+    if (noise.readout > 0.0) {
+      for (int q = 0; q < n; ++q) {
+        if (r.bernoulli(noise.readout)) raw ^= std::size_t{1} << q;
+      }
+    }
+    ++out.histogram[bitstring(raw, n)];
+  };
+  Rng rng(seed);
+  const std::uint64_t base = rng.next_u64();
+  ReferenceRun run;
+  run.unfused.shots = run.fused.shots = shots;
+  for (std::size_t shot = 0; shot < shots; ++shot) {
+    Rng r = Rng::for_stream(base, shot);
+    std::vector<std::size_t> sites;
+    for (std::size_t i = 0; i < gates.size(); ++i) {
+      if (gates[i].kind == qir::GateKind::Barrier) continue;
+      const double p = gates[i].num_qubits() >= 2 ? noise.p2 : noise.p1;
+      if (p > 0.0 && r.bernoulli(p)) sites.push_back(i);
+    }
+    if (sites.empty()) {
+      Rng r_fused = r;
+      const std::size_t raw = unfused_ideal.sample(r);
+      record(raw, r, run.unfused);
+      const std::size_t raw_fused = fused_ideal.sample(r_fused);
+      record(raw_fused, r_fused, run.fused);
+      continue;
+    }
+    run.first_errors.insert(sites.front());
+    sv.reset();
+    std::size_t next = 0;
+    for (std::size_t i = 0; i < gates.size(); ++i) {
+      sv.apply_gate(gates[i]);
+      if (next < sites.size() && sites[next] == i) {
+        run.error_sites.insert(i);
+        const std::vector<int>& qubits = gates[i].qubits;
+        std::size_t code =
+            1 + r.index((std::size_t{1} << (2 * qubits.size())) - 1);
+        for (int q : qubits) {
+          sv.apply_pauli("IXYZ"[code & 3], q);
+          code >>= 2;
+        }
+        ++next;
+      }
+    }
+    const std::size_t raw = sv.sample(r);
+    record(raw, r, run.unfused);
+    record(raw, r, run.fused);
+  }
+  return run;
+}
+
+/// `sample` with `fuse` off and on, at 1 and 4 workers (chunks of 16
+/// shots, so 4 workers really share the checkpoints), must give the
+/// reference's counts exactly.
+void expect_matches_reference(const qir::Circuit& c, const NoiseModel& noise,
+                              std::size_t shots,
+                              const ReferenceRun& reference) {
+  for (bool fuse : {false, true}) {
+    for (unsigned threads : {1u, 4u}) {
+      runtime::ThreadPool pool(threads);
+      SampleOptions opts;
+      opts.shots = shots;
+      opts.threads = threads;
+      opts.pool = &pool;
+      opts.shots_per_chunk = 16;
+      opts.fuse = fuse;
+      Rng rng(77);
+      const Counts counts = sample(c, noise, rng, opts);
+      const Counts& expected = fuse ? reference.fused : reference.unfused;
+      EXPECT_EQ(counts.shots, expected.shots);
+      EXPECT_EQ(counts.histogram, expected.histogram)
+          << c.num_qubits() << " qubits, fuse=" << fuse
+          << ", threads=" << threads;
+    }
+  }
+}
+
+TEST(SamplerReference, CountsEqualIndependentShotLoop) {
+  NoiseModel noise;
+  noise.p1 = 0.01;
+  noise.p2 = 0.04;
+  noise.readout = 0.02;
+  for (int n : {3, 7, 10}) {
+    Rng crng(static_cast<std::uint64_t>(n));
+    qir::Circuit c = qir::library::random_universal(n, 4 * n, crng);
+    c.barrier().ccx(0, 1, 2);
+    c.append(qir::library::random_universal(n, 4 * n, crng));
+    const ReferenceRun reference = reference_sample(c, noise, 77, 300);
+    EXPECT_GT(reference.first_errors.size(), 10u) << n << " qubits";
+    expect_matches_reference(c, noise, 300, reference);
+  }
+}
+
+TEST(SamplerReference, FourteenQubitsUnderTheSnapshotBudget) {
+  // 96 gates on 14 qubits: a 256 KiB register leaves room for 8 snapshots
+  // in the 2 MiB budget, so they sit 11 gates apart, not ceil(sqrt(96)) =
+  // 10 (which would need 9).
+  constexpr int kQubits = 14;
+  constexpr std::size_t kGates = 96;
+  const std::size_t budget = (std::size_t{2} << 20) / (sizeof(cplx) << kQubits);
+  const auto spacing = std::max<std::size_t>(
+      static_cast<std::size_t>(std::ceil(std::sqrt(double{kGates}))),
+      (kGates + budget) / (budget + 1));
+  ASSERT_EQ(spacing, 11u);
+
+  // Only two-qubit gates may err (p1 = 0). They sit on gate 0, on every
+  // snapshot index, midway between snapshots and on the last gate; RY
+  // layers make the amplitudes uneven, so a wrong replay start shows in
+  // the sampled outcomes. The rest are cheap diagonal RZs, which keeps the
+  // 14-qubit replays affordable under the sanitizers.
+  qir::Circuit c(kQubits);
+  Rng crng(19);
+  for (std::size_t i = 0; i < kGates; ++i) {
+    const int q = static_cast<int>(i % kQubits);
+    const int t = (q + 5) % kQubits;
+    if (i % spacing == 0 || i % spacing == 5 || i + 1 == kGates) {
+      switch (i % 3) {
+        case 0: c.cx(q, t); break;
+        case 1: c.cz(q, t); break;
+        default: c.add(qir::make_cp(crng.uniform() * 3.0, q, t)); break;
+      }
+    } else if (i < 16 || i % spacing == 8) {
+      c.ry(crng.uniform() * 3.0, q);
+    } else {
+      c.rz(crng.uniform() * 3.0, q);
+    }
+  }
+  NoiseModel noise;
+  noise.p1 = 0.0;
+  noise.p2 = 0.035;
+  noise.readout = 0.01;
+  constexpr std::size_t kShots = 128;
+  const ReferenceRun reference = reference_sample(c, noise, 77, kShots);
+  // The draws put a first error on gate 0 (replay from |0...0>), on a
+  // snapshot index (the replay starts on the erring gate) and past the
+  // last snapshot, and some error on the last gate.
+  EXPECT_EQ(reference.first_errors.count(0), 1u);
+  EXPECT_TRUE(std::any_of(
+      reference.first_errors.begin(), reference.first_errors.end(),
+      [&](std::size_t e) { return e > 0 && e % spacing == 0; }));
+  EXPECT_GE(*reference.first_errors.rbegin(), 8 * spacing);
+  EXPECT_EQ(reference.error_sites.count(kGates - 1), 1u);
+  expect_matches_reference(c, noise, kShots, reference);
 }
 
 TEST(SamplerEdge, ZeroQubitCircuit) {
