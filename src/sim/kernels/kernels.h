@@ -16,20 +16,17 @@ namespace tetris::sim::kernels {
 /// what runtime::parallel_for chunks feed); passing a 2^t-amplitude tile
 /// with its full local range runs the same gate on one cache-resident tile
 /// (the L2 blocking path of StateVector::apply_fused). Both uses execute
-/// identical per-amplitude arithmetic, so tiled and untiled sweeps of one
-/// mode are bit-identical.
+/// identical per-amplitude arithmetic, so tiled and untiled sweeps are
+/// bit-identical.
 ///
-/// The scalar kernels are verbatim copies of the historical StateVector
-/// loops — they are the byte-identity reference. The AVX2 kernels compute
-/// each amplitude with a fixed per-element instruction sequence (packed
-/// complex multiply via FMA) that does not depend on where a chunk boundary
-/// falls, so parallel AVX2 sweeps are bit-identical to serial AVX2 sweeps;
-/// against scalar they are tolerance-equal only (FMA fuses a rounding step).
-///
-/// The permutation and controlled kernels at the end of this header have
-/// no AVX2 flavour: they run the same scalar code in every mode, and each
-/// amplitude they write equals the historical per-pair loop's value (up to
-/// the sign of a zero), so they are mode-independent and exact.
+/// One determinism rule covers every kernel: the SIMD mode never changes a
+/// byte. The scalar kernels are verbatim copies of the historical
+/// StateVector loops. The AVX2 kernels compute each amplitude with the same
+/// products, roundings and summation order, two amplitudes per register and
+/// no FMA, so they write the scalar kernels' bits wherever a chunk boundary
+/// falls. The permutation and controlled kernels at the end of this header
+/// have no AVX2 flavour: each amplitude they write equals the historical
+/// per-pair loop's value (up to the sign of a zero).
 
 /// One 2x2 complex matrix, flattened for by-value capture into kernels.
 struct M2 {
@@ -63,8 +60,8 @@ GangPlan make_gang_plan(const SingleQubitOp* ops, std::size_t count);
 
 /// Decomposes `m` as a monomial matrix (exactly one nonzero per row):
 /// row r's output is coef[r] * input[src[r]]. Returns false when any row has
-/// zero or several nonzeros. The decomposition is mode-independent, so the
-/// scalar and AVX2 paths always agree on which kernel runs.
+/// zero or several nonzeros. Both SIMD modes use this one decomposition, so
+/// they always agree on which kernel runs.
 bool monomial_decompose(const M4& m, int src[4], cplx coef[4]);
 
 // --- 2x2 pair sweep over pair indices [k_begin, k_end), target qubit q ---
@@ -150,7 +147,7 @@ inline void sweep_gang(SimdMode mode, cplx* amps, std::size_t outer_begin,
   }
 }
 
-// --- permutation and controlled kernels (mode-independent) ---
+// --- permutation and controlled kernels (one flavour for both modes) ---
 
 /// Where a permutation or controlled kernel acts. Subspace index j visits
 /// the amplitude base(j) | set, where base(j) is j with a zero bit spliced

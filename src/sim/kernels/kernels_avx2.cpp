@@ -23,17 +23,17 @@ inline __m256d bcast(cplx c) {
 }
 
 /// Elementwise complex product x*y (two complex per register):
-///   re = x.re*y.re - round(x.im*y.im)   [fmaddsub even lanes subtract]
-///   im = x.im*y.re + round(x.re*y.im)   [odd lanes add]
-/// The first operand is always the amplitude, the second the matrix
-/// coefficient — the asymmetric FMA rounding makes cmul(x, y) != cmul(y, x)
-/// in the last bit, so a single convention keeps the gang and 1q kernels
-/// exactly interchangeable.
+///   re = x.re*y.re - x.im*y.im   [addsub even lanes subtract]
+///   im = x.im*y.re + x.re*y.im   [odd lanes add]
+/// Both products round before the add, as in the scalar std::complex
+/// multiply, and this file is compiled without FMA, so nothing fuses them.
+/// With every sweep below summing in the scalar kernel's order, each AVX2
+/// kernel writes exactly the scalar kernel's bits.
 inline __m256d cmul(__m256d x, __m256d y) {
   const __m256d yr = _mm256_movedup_pd(y);       // [y.re, y.re, ...]
   const __m256d yi = _mm256_permute_pd(y, 0xF);  // [y.im, y.im, ...]
   const __m256d xs = _mm256_permute_pd(x, 0x5);  // [x.im, x.re, ...]
-  return _mm256_fmaddsub_pd(x, yr, _mm256_mul_pd(xs, yi));
+  return _mm256_addsub_pd(_mm256_mul_pd(x, yr), _mm256_mul_pd(xs, yi));
 }
 
 /// 128-bit cmul with per-lane arithmetic identical to the 256-bit one —
@@ -42,7 +42,7 @@ inline __m128d cmul1(__m128d x, __m128d y) {
   const __m128d yr = _mm_movedup_pd(y);
   const __m128d yi = _mm_permute_pd(y, 0x3);
   const __m128d xs = _mm_permute_pd(x, 0x1);
-  return _mm_fmaddsub_pd(x, yr, _mm_mul_pd(xs, yi));
+  return _mm_addsub_pd(_mm_mul_pd(x, yr), _mm_mul_pd(xs, yi));
 }
 
 inline __m128d bcast1(cplx c) { return _mm_setr_pd(c.real(), c.imag()); }

@@ -1,8 +1,6 @@
 #include "sim/kernels/simd.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <string>
 
 #include "common/error.h"
 
@@ -13,31 +11,13 @@ namespace {
 /// -1 = not yet resolved; otherwise a SimdMode value.
 std::atomic<int> g_mode{-1};
 
-SimdMode resolve_from_env() {
-  const char* env = std::getenv("TETRIS_SIMD");
-  const std::string value = env == nullptr ? "auto" : env;
-  if (value == "scalar") return SimdMode::kScalar;
-  if (value == "avx2") {
-    TETRIS_REQUIRE(avx2_compiled(),
-                   "TETRIS_SIMD=avx2: the AVX2 kernels are not compiled into "
-                   "this binary (build with TETRIS_SIMD_AVX2=ON)");
-    TETRIS_REQUIRE(avx2_available(),
-                   "TETRIS_SIMD=avx2: this CPU does not report AVX2+FMA");
-    return SimdMode::kAvx2;
-  }
-  if (value == "auto" || value.empty()) {
-    return avx2_available() ? SimdMode::kAvx2 : SimdMode::kScalar;
-  }
-  throw InvalidArgument("TETRIS_SIMD: unknown mode '" + value +
-                        "' (expected scalar, avx2, or auto)");
-}
-
 }  // namespace
 
 SimdMode simd_mode() {
   int mode = g_mode.load(std::memory_order_acquire);
   if (mode < 0) {
-    mode = static_cast<int>(resolve_from_env());
+    mode = static_cast<int>(avx2_available() ? SimdMode::kAvx2
+                                             : SimdMode::kScalar);
     g_mode.store(mode, std::memory_order_release);
   }
   return static_cast<SimdMode>(mode);
@@ -55,17 +35,9 @@ const char* simd_mode_name(SimdMode mode) {
   return mode == SimdMode::kAvx2 ? "avx2" : "scalar";
 }
 
-bool avx2_compiled() {
-#ifdef TETRIS_HAVE_AVX2
-  return true;
-#else
-  return false;
-#endif
-}
-
 bool avx2_available() {
 #ifdef TETRIS_HAVE_AVX2
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  return __builtin_cpu_supports("avx2");
 #else
   return false;
 #endif

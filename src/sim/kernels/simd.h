@@ -2,30 +2,19 @@
 
 namespace tetris::sim::kernels {
 
-/// Instruction-set variant the statevector sweep kernels execute with.
-///
-/// `kScalar` is the always-built reference: its per-amplitude arithmetic is
-/// exactly the pre-SIMD gate loops, so scalar output is byte-identical to
-/// historical builds. `kAvx2` runs the vectorized kernels (4 doubles / 2
-/// complex amplitudes per register, FMA): the same formulas with reordered
-/// and fused floating-point rounding, tolerance-equal (~1e-13 per sweep,
-/// gated at 1e-9 by the differential harness) but NOT bit-identical to
-/// scalar. Within one mode, every determinism contract of the repo holds
-/// unchanged — serial vs parallel vs tiled sweeps of the same plan are
-/// bit-identical at any thread count.
+/// Instruction-set variant the 1q, diagonal, 4x4 and gang sweeps execute
+/// with. The mode never changes a byte: the AVX2 kernels perform the scalar
+/// kernels' products, roundings and summation order, only two complex
+/// amplitudes per register, so every result is bit-identical in both modes
+/// and the mode stays out of every cache key.
 enum class SimdMode {
   kScalar,  ///< reference kernels, plain std::complex arithmetic
-  kAvx2,    ///< AVX2+FMA kernels (x86-64, runtime-detected)
+  kAvx2,    ///< AVX2 kernels (x86-64, runtime-detected)
 };
 
-/// The active kernel mode. Resolved once, lazily, from the `TETRIS_SIMD`
-/// environment variable:
-///   - "scalar"        -> kScalar
-///   - "avx2"          -> kAvx2; throws InvalidArgument when the AVX2
-///                        kernels are not compiled in or the CPU lacks AVX2
-///   - "auto" or unset -> kAvx2 when available, else kScalar
-/// Any other value throws InvalidArgument (a feature gate should fail loud).
-/// `set_simd_mode` overrides the resolved value for the current process.
+/// The active kernel mode: resolved once, lazily, to kAvx2 when
+/// avx2_available() and to kScalar otherwise. `set_simd_mode` overrides it
+/// for the current process.
 SimdMode simd_mode();
 
 /// Overrides the active mode (tests and the differential benches). Throws
@@ -35,11 +24,8 @@ void set_simd_mode(SimdMode mode);
 /// "scalar" / "avx2".
 const char* simd_mode_name(SimdMode mode);
 
-/// True when this binary contains the AVX2 kernels (CMake `TETRIS_SIMD_AVX2`
-/// and a compiler that accepts -mavx2 -mfma).
-bool avx2_compiled();
-
-/// True when the AVX2 kernels are compiled in AND the CPU reports AVX2+FMA.
+/// True when the AVX2 kernels are compiled in (CMake `TETRIS_SIMD_AVX2`)
+/// AND the CPU reports AVX2.
 bool avx2_available();
 
 }  // namespace tetris::sim::kernels

@@ -131,8 +131,7 @@ template <typename Kernel>
 void StateVector::run_subspace(const kernels::Subspace& s, Kernel kernel) {
   cplx* amps = amps_.data();
   // Every subspace index touches its own one or two amplitudes, so chunks
-  // never collide and the mode-independent kernels make parallel output
-  // bit-identical to serial in every SIMD mode.
+  // never collide and parallel output is bit-identical to serial.
   run_kernel(use_parallel(), parallel_grain_, 1,
              kernels::subspace_size(amps_.size(), s),
              [=](std::size_t begin, std::size_t end) {
@@ -193,8 +192,7 @@ void StateVector::apply_two_qubit(const cplx m[4][4], int a, int b) {
   // permutation and phase gates: CX/CZ/CP/CRZ/SWAP runs, X/Z/S/T/RZ on the
   // pair, and their mixtures. One multiply per amplitude instead of the
   // dense 16-multiply row sums; the dropped terms are exact zeros, so only
-  // zero signs can differ from the dense path. The decomposition is
-  // mode-independent, so scalar and AVX2 builds agree on which kernel runs.
+  // zero signs can differ from the dense path.
   int src[4] = {0, 0, 0, 0};
   cplx coef[4];
   if (kernels::monomial_decompose(m4, src, coef)) {

@@ -41,11 +41,9 @@ struct SingleQubitOp {
 ///
 /// The sweeps themselves go through the kernel layer
 /// (sim/kernels/kernels.h). The 1q, diagonal, 4x4 and gang sweeps dispatch
-/// on `kernels::simd_mode()`: the scalar kernels reproduce the historical
-/// loops byte for byte; the AVX2 kernels are tolerance-equal to scalar (FMA
-/// reorders rounding) but uphold the same serial-vs-parallel bit-identity
-/// within the mode. The subspace kernels run the same scalar code in every
-/// mode and are exact. See docs/ARCHITECTURE.md, "Kernel layer".
+/// on `kernels::simd_mode()`, which never changes a byte: the AVX2 kernels
+/// compute the scalar kernels' bits, and the subspace kernels have one
+/// flavour for both modes. See docs/ARCHITECTURE.md, "Kernel layer".
 ///
 /// The register size is bounded only by memory; the RevLib experiments top
 /// out at 12 qubits (4096 amplitudes), far below any practical limit.
@@ -99,7 +97,7 @@ class StateVector {
   /// run while L2-resident, instead of streaming the full vector once per
   /// op. Tiling only reorders memory traversal — each amplitude sees the
   /// identical arithmetic sequence — so tiled output is bit-identical to
-  /// untiled within a SIMD mode.
+  /// untiled.
   void apply_fused(const FusionPlan& plan);
 
   /// Applies an arbitrary 2x2 matrix to qubit q in one amplitude sweep (the
@@ -169,7 +167,7 @@ class StateVector {
   /// Overrides the tile width (in qubits) of apply_fused's cache blocking.
   /// Tests shrink it to exercise tiling on small registers; anything at or
   /// above num_qubits() disables tiling. Purely a traversal-order knob —
-  /// never changes bits within a SIMD mode.
+  /// never changes bits.
   void set_tile_qubits(int qubits) { tile_qubits_ = qubits; }
   int tile_qubits() const { return tile_qubits_; }
 

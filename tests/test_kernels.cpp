@@ -48,13 +48,30 @@ qir::Circuit dense_circuit(int n, std::uint64_t seed) {
   return c;
 }
 
-/// Runs `circuit` fused under a forced SIMD mode.
-StateVector run_fused(const qir::Circuit& circuit, SimdMode mode) {
+/// Runs `circuit` under a forced SIMD mode, fused or gate by gate.
+StateVector run_in_mode(const qir::Circuit& circuit, SimdMode mode,
+                        bool fused) {
   ModeGuard guard;
   kernels::set_simd_mode(mode);
   StateVector sv(circuit.num_qubits());
-  sv.apply_fused(FusionPlan::build(circuit));
+  if (fused) {
+    sv.apply_fused(FusionPlan::build(circuit));
+  } else {
+    sv.apply_circuit(circuit);
+  }
   return sv;
+}
+
+/// Index of the first amplitude whose bytes differ between `a` and `b`
+/// (zero signs included), or -1.
+long first_byte_mismatch(const StateVector& a, const StateVector& b) {
+  for (std::size_t i = 0; i < a.dim(); ++i) {
+    if (std::memcmp(&a.amplitudes()[i], &b.amplitudes()[i], sizeof(cplx)) !=
+        0) {
+      return static_cast<long>(i);
+    }
+  }
+  return -1;
 }
 
 /// Pseudorandom (but deterministic, mode-independent) amplitude fill.
@@ -81,38 +98,43 @@ TEST(Simd, ModeQueryAndOverride) {
   }
 }
 
-TEST(Simd, AvailabilityImpliesCompiled) {
-  // avx2_available() must never claim kernels the build does not contain.
-  if (kernels::avx2_available()) {
-    EXPECT_TRUE(kernels::avx2_compiled());
-  }
-}
-
 // ------------------------------------------- scalar-vs-AVX2 differential
 
-// Whole-circuit differential at odd (non-power-of-friendly) widths: the two
-// modes reassociate FP differently, so they agree to tolerance, not bits.
+// The AVX2 kernels compute the scalar kernels' bits, so the two modes agree
+// byte for byte on every amplitude: at odd widths and at 14 qubits, fused
+// (gang and 4x4 sweeps) and gate by gate (1q and diagonal sweeps).
 TEST(SimdDifferential, ScalarVsAvx2AtOddWidths) {
   if (!kernels::avx2_available()) GTEST_SKIP() << "no AVX2 on this host";
-  for (int n : {5, 7, 9, 11}) {
+  for (int n : {5, 7, 9, 11, 13, 14}) {
     auto c = dense_circuit(n, 101 + static_cast<std::uint64_t>(n));
-    StateVector scalar = run_fused(c, SimdMode::kScalar);
-    StateVector avx2 = run_fused(c, SimdMode::kAvx2);
-    EXPECT_LT(scalar.max_abs_diff(avx2), 1e-9) << "n=" << n;
-    EXPECT_NEAR(avx2.fidelity(scalar), 1.0, 1e-12) << "n=" << n;
+    for (bool fused : {false, true}) {
+      const StateVector scalar = run_in_mode(c, SimdMode::kScalar, fused);
+      const StateVector avx2 = run_in_mode(c, SimdMode::kAvx2, fused);
+      EXPECT_EQ(first_byte_mismatch(scalar, avx2), -1)
+          << "n=" << n << " fused=" << fused;
+    }
   }
 }
 
 // Target qubit below the vector lane width (q=0: pairs interleave within one
-// 256-bit lane, the deinterleave path) vs at/above it (contiguous runs).
+// 256-bit lane, the deinterleave path) vs at/above it (contiguous runs), on
+// a 7- and a 14-qubit register. The rx/rz layer leaves every amplitude
+// complex, so each complex multiply rounds both of its products: the same
+// bytes in both modes.
 TEST(SimdDifferential, TargetQubitInsideAndOutsideLaneWidth) {
   if (!kernels::avx2_available()) GTEST_SKIP() << "no AVX2 on this host";
-  for (int q : {0, 1, 2, 6}) {
-    qir::Circuit c(7);
-    c.h(q).rz(0.7, q).sx(q).ry(-1.3, q);
-    StateVector scalar = run_fused(c, SimdMode::kScalar);
-    StateVector avx2 = run_fused(c, SimdMode::kAvx2);
-    EXPECT_LT(scalar.max_abs_diff(avx2), 1e-9) << "q=" << q;
+  for (int n : {7, 14}) {
+    for (int q : {0, 1, 2, n - 1}) {
+      qir::Circuit c(n);
+      for (int p = 0; p < n; ++p) c.rx(0.5 + 0.1 * p, p).rz(0.3 * p, p);
+      c.h(q).rz(0.7, q).sx(q).ry(-1.3, q);
+      for (bool fused : {false, true}) {
+        const StateVector scalar = run_in_mode(c, SimdMode::kScalar, fused);
+        const StateVector avx2 = run_in_mode(c, SimdMode::kAvx2, fused);
+        EXPECT_EQ(first_byte_mismatch(scalar, avx2), -1)
+            << "n=" << n << " q=" << q << " fused=" << fused;
+      }
+    }
   }
 }
 

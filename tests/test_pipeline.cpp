@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "qir/library.h"
 #include "revlib/benchmarks.h"
+#include "service/serialize.h"
+#include "sim/kernels/simd.h"
 
 namespace tetris::lock {
 namespace {
@@ -86,6 +89,41 @@ TEST(Pipeline, DeterministicForFixedSeed) {
   EXPECT_EQ(a.tvd_obfuscated, b.tvd_obfuscated);
   EXPECT_EQ(a.accuracy_restored, b.accuracy_restored);
   EXPECT_TRUE(a.obf.circuit == b.obf.circuit);
+}
+
+// The kernel mode never changes a byte of a job: each flow, run with one
+// seed under forced scalar and forced AVX2 kernels, serializes to the same
+// document. The random_universal flows are the sensitive ones: an FMA in the
+// AVX2 complex multiply changes both of their documents.
+TEST(Pipeline, JobBytesEqualAcrossSimdModes) {
+  using sim::kernels::SimdMode;
+  if (!sim::kernels::avx2_available()) GTEST_SKIP() << "no AVX2 on this host";
+  FlowConfig unfused;
+  unfused.shots = 16;
+  FlowConfig fused = unfused;
+  fused.fusion = true;
+  Rng gen(7);
+  const qir::Circuit univ10 = qir::library::random_universal(10, 120, gen);
+  const auto& rd84 = revlib::get_benchmark("rd84");
+  const std::vector<FlowJob> jobs = {
+      make_flow_job("univ10", univ10, {}, unfused),
+      make_flow_job("univ10 fused", univ10, {}, fused),
+      make_flow_job("rd84 fused", rd84.circuit, rd84.measured, fused),
+      make_flow_job("adder6 fused", qir::library::ripple_carry_adder(6), {},
+                    fused),
+  };
+  const SimdMode saved = sim::kernels::simd_mode();
+  for (const FlowJob& job : jobs) {
+    const auto document = [&job](SimdMode mode) {
+      sim::kernels::set_simd_mode(mode);
+      Rng rng(2025);
+      return service::to_json(
+          run_flow(job.circuit, job.measured, job.target, job.config, rng));
+    };
+    EXPECT_TRUE(document(SimdMode::kScalar) == document(SimdMode::kAvx2))
+        << job.name;
+  }
+  sim::kernels::set_simd_mode(saved);
 }
 
 }  // namespace
