@@ -203,6 +203,32 @@ void BM_SampleCompiledView(benchmark::State& state) {
 }
 BENCHMARK(BM_SampleCompiledView)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
+// The fixed per-shot cost: one 1000-shot sample of the compiled 4mod5 view
+// (5 qubits, fake_valencia) on one thread, where no gate error fires, so
+// every shot seeds its stream, draws its outcome from the shared ideal run,
+// draws its readout flips and is counted. range(0) = 0 zeroes the gate
+// rates (no gate draws); 1 sets them to 1e-9, so every gate also draws its
+// Bernoulli and, at this seed, none fires.
+void BM_ShotOverhead(benchmark::State& state) {
+  const auto& b = revlib::get_benchmark("4mod5");
+  auto target = compiler::device_for(b.circuit.num_qubits()).target;
+  compiler::Compiler comp(
+      {target, compiler::LayoutStrategy::GreedyDegree, true, std::nullopt});
+  const auto compiled = comp.compile(b.circuit);
+  sim::NoiseModel noise = target.noise;
+  noise.p1 = noise.p2 = state.range(0) == 0 ? 0.0 : 1e-9;
+  sim::SampleOptions opts;
+  opts.shots = 1000;
+  opts.threads = 1;
+  for (auto _ : state) {
+    Rng rng(1);
+    auto counts = sim::sample(compiled.circuit, noise, rng, opts);
+    benchmark::DoNotOptimize(counts.shots);
+  }
+  state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_ShotOverhead)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
 void BM_CompileBenchmark(benchmark::State& state) {
   const auto& all = revlib::table1_benchmarks();
   const auto& b = all[static_cast<std::size_t>(state.range(0))];

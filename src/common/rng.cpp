@@ -1,32 +1,83 @@
 #include "common/rng.h"
 
+#include <cmath>
 #include <numeric>
 
 namespace tetris {
 
-Rng::Rng(std::uint64_t seed) : engine_(seed) {}
+Rng::Rng(std::uint64_t seed) {
+  words_[0] = seed;
+  for (std::size_t i = 1; i < kWords; ++i) {
+    const std::uint64_t prev = words_[i - 1];
+    words_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+  }
+}
+
+void Rng::twist() {
+  constexpr std::size_t kShift = 156;  // MT19937-64 middle word m
+  constexpr std::uint64_t kUpper = ~std::uint64_t{0} << 31;
+  constexpr std::uint64_t kMatrix = 0xB5026F5AA96619E9ULL;
+  // The twist matrix is applied to a selected bit by masking instead of
+  // branching on it, so the loops run without mispredictions.
+  auto mix = [](std::uint64_t upper, std::uint64_t lower, std::uint64_t far) {
+    const std::uint64_t y = (upper & kUpper) | (lower & ~kUpper);
+    return far ^ (y >> 1) ^ ((std::uint64_t{0} - (y & 1)) & kMatrix);
+  };
+  std::size_t k = 0;
+  for (; k < kWords - kShift; ++k) {
+    words_[k] = mix(words_[k], words_[k + 1], words_[k + kShift]);
+  }
+  for (; k < kWords - 1; ++k) {
+    words_[k] = mix(words_[k], words_[k + 1], words_[k + kShift - kWords]);
+  }
+  words_[kWords - 1] = mix(words_[kWords - 1], words_[0], words_[kShift - 1]);
+  next_ = 0;
+}
+
+std::uint64_t Rng::below(std::uint64_t range) {
+  __extension__ using u128 = unsigned __int128;
+  u128 product = u128{next_u64()} * range;
+  auto low = static_cast<std::uint64_t>(product);
+  if (low < range) {
+    const std::uint64_t threshold = (std::uint64_t{0} - range) % range;
+    while (low < threshold) {
+      product = u128{next_u64()} * range;
+      low = static_cast<std::uint64_t>(product);
+    }
+  }
+  return static_cast<std::uint64_t>(product >> 64);
+}
 
 int Rng::uniform_int(int lo, int hi) {
   TETRIS_REQUIRE(lo <= hi, "Rng::uniform_int requires lo <= hi");
-  std::uniform_int_distribution<int> d(lo, hi);
-  return d(engine_);
+  const auto range = static_cast<std::uint64_t>(
+      static_cast<std::int64_t>(hi) - static_cast<std::int64_t>(lo) + 1);
+  return static_cast<int>(lo + static_cast<std::int64_t>(below(range)));
 }
 
 std::size_t Rng::index(std::size_t n) {
   TETRIS_REQUIRE(n > 0, "Rng::index requires n > 0");
-  std::uniform_int_distribution<std::size_t> d(0, n - 1);
-  return d(engine_);
+  return static_cast<std::size_t>(below(n));
 }
 
-double Rng::uniform() {
-  std::uniform_real_distribution<double> d(0.0, 1.0);
-  return d(engine_);
-}
-
-bool Rng::bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform() < p;
+std::uint64_t Rng::bernoulli_threshold(double p) {
+  if (!(p > 0.0)) return 0;
+  if (p >= 1.0) return ~std::uint64_t{0};
+  // uniform_from(x) < p  <=>  double(x) < p * 2^64 (scaling by a power of
+  // two is exact, and p < 1 keeps the clamp out of play), and double(x)
+  // never decreases, so T is the least x with double(x) >= scaled.
+  const double scaled = std::ldexp(p, 64);
+  if (scaled <= 0x1p53) {
+    // Every x up to 2^53 converts exactly.
+    return static_cast<std::uint64_t>(std::ceil(scaled));
+  }
+  // Above 2^53 `scaled` and its predecessor are integers at least 2 apart,
+  // and x between them rounds to the nearer one; the midpoint rounds to the
+  // one with the even significand.
+  const auto top = static_cast<std::uint64_t>(scaled);
+  const auto prev = static_cast<std::uint64_t>(std::nextafter(scaled, 0.0));
+  const std::uint64_t mid = prev + (top - prev) / 2;
+  return static_cast<double>(mid) >= scaled ? mid : mid + 1;
 }
 
 std::size_t Rng::weighted_index(const std::vector<double>& weights) {
@@ -56,7 +107,5 @@ std::uint64_t Rng::stream_seed(std::uint64_t base_seed, std::uint64_t stream) {
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
 }
-
-std::uint64_t Rng::next_u64() { return engine_(); }
 
 }  // namespace tetris

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <utility>
 
+#include "common/binio.h"
 #include "common/error.h"
 #include "common/hash.h"
 
@@ -16,10 +17,52 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Decodes a kDone job's artifact bytes into its outcome. Callers hold no
-/// service lock: the decode rebuilds several circuits.
-void attach_result(JobOutcome& out,
-                   const std::shared_ptr<const std::string>& artifact) {
+/// A finished job's trace as one exact-size byte string: the span count,
+/// then per span its name, start, duration and attributes (binio).
+std::string pack_trace(const obs::Trace& trace) {
+  std::size_t total = 4;
+  for (const obs::Span& span : trace.spans()) {
+    total += 4 + span.name.size() + 8 + 8 + 4;
+    for (const auto& [key, value] : span.attrs) {
+      total += 4 + key.size() + 4 + value.size();
+    }
+  }
+  ByteWriter w;
+  w.reserve(total).u32(static_cast<std::uint32_t>(trace.spans().size()));
+  for (const obs::Span& span : trace.spans()) {
+    w.str(span.name).f64(span.start_seconds).f64(span.duration_seconds);
+    w.u32(static_cast<std::uint32_t>(span.attrs.size()));
+    for (const auto& [key, value] : span.attrs) w.str(key).str(value);
+  }
+  return w.take();
+}
+
+/// The spans pack_trace wrote, bit for bit.
+obs::Trace unpack_trace(const std::string& bytes) {
+  ByteReader r(bytes);
+  obs::Trace trace;
+  for (std::uint32_t n = r.u32("spans"); n > 0; --n) {
+    std::string name = r.str("span name", bytes.size());
+    const double start = r.f64("span start");
+    const double duration = r.f64("span duration");
+    std::vector<std::pair<std::string, std::string>> attrs(
+        r.u32("span attributes"));
+    for (auto& [key, value] : attrs) {
+      key = r.str("attribute key", bytes.size());
+      value = r.str("attribute value", bytes.size());
+    }
+    trace.record(std::move(name), start, duration, std::move(attrs));
+  }
+  return trace;
+}
+
+/// Decodes a terminal job's trace and, for a kDone job, its artifact bytes
+/// into its outcome. Callers hold no service lock: the decode rebuilds
+/// several circuits.
+void attach_decoded(JobOutcome& out,
+                    const std::shared_ptr<const std::string>& artifact,
+                    const std::shared_ptr<const std::string>& trace) {
+  if (trace) out.trace = unpack_trace(*trace);
   if (out.state == JobState::kDone && artifact) {
     out.result = decode_artifact(*artifact).result;
   }
@@ -225,9 +268,13 @@ JobHandle Service::submit(lock::FlowJob job) {
 
 JobHandle Service::submit(lock::FlowJob job, std::uint64_t seed) {
   auto record = std::make_shared<JobRecord>();
-  record->job = std::move(job);
+  // The name and warnings only feed the outcome; the key and the run read
+  // the rest of the job.
+  record->name = std::move(job.name);
+  record->warnings = std::move(job.warnings);
+  record->config = job.config;
   record->resolved_backend =
-      sim::resolve_backend(record->job.config.backend, record->job.circuit);
+      sim::resolve_backend(job.config.backend, job.circuit);
   record->seed = seed;
   {
     std::lock_guard<std::mutex> lk(mutex_);
@@ -236,7 +283,7 @@ JobHandle Service::submit(lock::FlowJob job, std::uint64_t seed) {
     jobs_submitted_->inc();
     ++outstanding_;
   }
-  enqueue(record);
+  enqueue(record, std::move(job));
   return JobHandle(this, record->id);
 }
 
@@ -250,20 +297,24 @@ std::vector<JobHandle> Service::submit_all(std::vector<lock::FlowJob> jobs) {
   return handles;
 }
 
-void Service::enqueue(const std::shared_ptr<JobRecord>& record) {
+void Service::enqueue(const std::shared_ptr<JobRecord>& record,
+                      lock::FlowJob job) {
   // From inside a worker of the shared global pool, queueing and waiting
   // would deadlock the fixed pool (a pool task waiting for a pool task); run
   // the job inline instead, exactly like parallel_for does.
   if (!private_pool_ && runtime::ThreadPool::on_worker_thread()) {
-    execute(record);
+    execute(record, std::move(job));
     return;
   }
   // The future is intentionally dropped: completion is tracked by
   // outstanding_/cv_, and execute() never throws.
-  pool().submit([this, record] { execute(record); });
+  pool().submit([this, record, job = std::move(job)]() mutable {
+    execute(record, std::move(job));
+  });
 }
 
-void Service::execute(const std::shared_ptr<JobRecord>& record) {
+void Service::execute(const std::shared_ptr<JobRecord>& record,
+                      lock::FlowJob job) {
   {
     std::lock_guard<std::mutex> lk(mutex_);
     if (record->state == JobState::kCancelled) {
@@ -284,7 +335,7 @@ void Service::execute(const std::shared_ptr<JobRecord>& record) {
   const bool store_enabled = store_ != nullptr;
   // The job's own triple keys the cache and the store, and is embedded in
   // the artifact bytes the finished record holds.
-  const ArtifactKey key = artifact_key(record->job, record->seed);
+  const ArtifactKey key = artifact_key(job, record->seed);
   std::shared_ptr<const std::string> artifact;
   if (cache_enabled) {
     obs::ScopedSpan span(&trace, "cache.lookup");
@@ -321,9 +372,8 @@ void Service::execute(const std::shared_ptr<JobRecord>& record) {
     try {
       Rng rng(record->seed);
       artifact = std::make_shared<const std::string>(encode_artifact(
-          key, lock::run_flow(record->job.circuit, record->job.measured,
-                              record->job.target, record->job.config, rng,
-                              &trace)));
+          key, lock::run_flow(job.circuit, job.measured, job.target,
+                              job.config, rng, &trace)));
     } catch (...) {
       status = ServiceStatus::from_current_exception();
     }
@@ -339,11 +389,14 @@ void Service::execute(const std::shared_ptr<JobRecord>& record) {
   }
 
   // Every counter moves before the record turns terminal, so a caller
-  // returning from wait() sees it.
+  // returning from wait() sees it. The record keeps the trace as packed
+  // bytes; `job` is freed when this call returns, after the waiters are
+  // woken, so a cache hit's latency does not include its release.
   observe_stages(trace);
   terminal_.at(record->resolved_backend)[artifact ? 0 : 1]->inc();
+  auto packed = std::make_shared<const std::string>(pack_trace(trace));
   std::lock_guard<std::mutex> lk(mutex_);
-  record->trace = std::make_shared<const obs::Trace>(std::move(trace));
+  record->trace = std::move(packed);
   record->seconds = seconds_since(start);
   record->cache_hit = cache_hit;
   if (artifact) {
@@ -370,30 +423,28 @@ std::shared_ptr<Service::JobRecord> Service::find(std::uint64_t id) const {
 JobOutcome Service::outcome_locked(const JobRecord& record) const {
   JobOutcome out;
   out.id = record.id;
-  out.name = record.job.name;
+  out.name = record.name;
   out.seed = record.seed;
   out.state = record.state;
   out.status = record.status;
   out.cache_hit = record.cache_hit;
   out.seconds = record.seconds;
-  out.shots = record.job.config.shots;
-  out.sample_threads = record.job.config.sample_threads;
-  out.fusion = record.job.config.fusion;
+  out.shots = record.config.shots;
+  out.sample_threads = record.config.sample_threads;
+  out.fusion = record.config.fusion;
   out.backend = record.resolved_backend;
-  out.warnings = record.job.warnings;
-  // A terminal record's trace pointer is immutable; the span list is small
-  // (a dozen entries), so the copy stays under the lock unlike the result.
-  if (record.trace) out.trace = *record.trace;
+  out.warnings = record.warnings;
   return out;
 }
 
 JobOutcome Service::make_outcome(const std::shared_ptr<JobRecord>& record,
                                  std::unique_lock<std::mutex>& lk) const {
   JobOutcome out = outcome_locked(*record);
-  // A terminal record's artifact pointer never changes.
+  // A terminal record's artifact and trace pointers never change.
   std::shared_ptr<const std::string> artifact = record->artifact;
+  std::shared_ptr<const std::string> trace = record->trace;
   lk.unlock();
-  attach_result(out, artifact);
+  attach_decoded(out, artifact, trace);
   lk.lock();
   return out;
 }
@@ -451,11 +502,12 @@ std::size_t Service::drain(
     if (drained_ != index) continue;  // a sibling drain delivered this job
     JobOutcome out = outcome_locked(*record);
     auto artifact = record->artifact;
+    auto trace = record->trace;
     ++drained_;
     ++delivered;
     cv_.notify_all();  // wake sibling drains watching the cursor
     lk.unlock();  // never hold the service lock across the decode or user code
-    attach_result(out, artifact);
+    attach_decoded(out, artifact, trace);
     sink(out);
     lk.lock();
   }

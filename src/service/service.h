@@ -288,9 +288,14 @@ class Service {
   const obs::Registry& telemetry() const { return telemetry_; }
 
  private:
+  /// What the service keeps of a job: only what its outcome echoes. The
+  /// submitted circuit, measured list and target travel with the task
+  /// that runs the job and are freed when it ends.
   struct JobRecord {
     std::uint64_t id = 0;
-    lock::FlowJob job;
+    std::string name;                   ///< FlowJob::name
+    lock::FlowConfig config;            ///< FlowJob::config
+    std::vector<std::string> warnings;  ///< FlowJob::warnings
     /// FlowConfig::backend resolved against the job's circuit at submission
     /// (one is_clifford scan there instead of one per outcome snapshot).
     sim::BackendKind resolved_backend = sim::BackendKind::kStateVector;
@@ -302,13 +307,15 @@ class Service {
     /// A kDone job's result as its artifact bytes (encode_artifact under
     /// the job's key), shared with the cache and immutable once the record
     /// is terminal. Records are never dropped, so they keep these bytes
-    /// rather than a live FlowResult (a done 4mod5 job retains ~16 KB in
-    /// all instead of ~42 KB); each outcome decodes them outside the
-    /// service mutex.
+    /// rather than a live FlowResult, and the trace below packed rather
+    /// than as spans: a done 4mod5 job retains about 6.7 KB in all, against
+    /// 10.3 KB with its inputs and spans and ~42 KB with a FlowResult. Each
+    /// outcome decodes both outside the service mutex.
     std::shared_ptr<const std::string> artifact;
-    /// Stage trace recorded by execute(); attached when the record turns
-    /// terminal and immutable afterwards (same discipline as `artifact`).
-    std::shared_ptr<const obs::Trace> trace;
+    /// Stage trace recorded by execute(), packed into one exact-size byte
+    /// string when the record turns terminal and immutable afterwards (same
+    /// discipline as `artifact`).
+    std::shared_ptr<const std::string> trace;
   };
 
   struct CacheKeyHash {
@@ -320,8 +327,10 @@ class Service {
   };
 
   runtime::ThreadPool& pool();
-  void enqueue(const std::shared_ptr<JobRecord>& record);
-  void execute(const std::shared_ptr<JobRecord>& record);
+  /// Runs `job` as `record` on the pool; the task owns the job until it
+  /// ends.
+  void enqueue(const std::shared_ptr<JobRecord>& record, lock::FlowJob job);
+  void execute(const std::shared_ptr<JobRecord>& record, lock::FlowJob job);
   /// Inserts a result (unless a concurrent job beat us to the key) and
   /// evicts past capacity; caller holds mutex_. The one insert site.
   void cache_insert_locked(const ArtifactKey& key,
@@ -331,8 +340,9 @@ class Service {
   void collect_live(std::vector<obs::Family>& out) const;
   /// Records every span of a finished trace into the per-stage histograms.
   void observe_stages(const obs::Trace& trace);
-  /// Copies the metadata fields only; the result is attached by
-  /// make_outcome, which drops the lock to decode the artifact bytes.
+  /// Copies the metadata fields only; the result and the trace are
+  /// attached by make_outcome and drain, which drop the lock to decode
+  /// them.
   JobOutcome outcome_locked(const JobRecord& record) const;
   JobOutcome make_outcome(const std::shared_ptr<JobRecord>& record,
                           std::unique_lock<std::mutex>& lk) const;

@@ -83,9 +83,11 @@ class UnsupportedGate : public InvalidArgument {
 ///
 /// **prepare().** Engines may need a finalization pass between the last
 /// gate and the first concurrent query (the tableau engine runs a Gaussian
-/// elimination to extract its sampling support). Callers that share one
-/// engine across threads must call `prepare()` once after `apply`;
-/// single-threaded callers may skip it (queries self-prepare lazily).
+/// elimination to extract its sampling support; the statevector stores
+/// block prefix sums that speed up `sample_index` without changing its
+/// index). Callers that share one engine across threads must call
+/// `prepare()` once after `apply`; single-threaded callers may skip it
+/// (queries self-prepare lazily or take the unprepared path).
 class Backend {
  public:
   virtual ~Backend() = default;

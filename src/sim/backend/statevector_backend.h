@@ -26,22 +26,48 @@ class StateVectorBackend final : public Backend {
   const char* name() const override { return "statevector"; }
   int num_qubits() const override { return sv_.num_qubits(); }
 
-  void reset() override { sv_.reset(); }
-  void apply_gate(const qir::Gate& gate) override { sv_.apply_gate(gate); }
-  void apply_pauli(char pauli, int q) override { sv_.apply_pauli(pauli, q); }
+  void reset() override {
+    block_sums_.clear();
+    sv_.reset();
+  }
+  void apply_gate(const qir::Gate& gate) override {
+    block_sums_.clear();
+    sv_.apply_gate(gate);
+  }
+  void apply_pauli(char pauli, int q) override {
+    block_sums_.clear();
+    sv_.apply_pauli(pauli, q);
+  }
+
+  /// Stores the running sum of |amp|^2 at the end of every kSampleBlock
+  /// amplitudes, accumulated in index order exactly as
+  /// StateVector::sample's scan accumulates it.
+  void prepare() override;
 
   double probability(std::size_t index) const override;
-  std::size_t sample_index(Rng& rng) const override { return sv_.sample(rng); }
+  /// StateVector::sample's index for the same draw. Once prepared, a binary
+  /// search over the block sums finds the block where the scan stops, and
+  /// the same scan, started from the previous block's sum, finishes there;
+  /// unprepared, it is the full scan.
+  std::size_t sample_index(Rng& rng) const override;
   std::map<std::string, double> distribution(
       const std::vector<int>& measured = {}) const override;
 
   /// The wrapped register, for callers that need the concrete API (fused
-  /// runs, fidelity against a raw StateVector).
-  StateVector& state() { return sv_; }
+  /// runs, fidelity against a raw StateVector). Mutable access drops the
+  /// prepared sums.
+  StateVector& state() {
+    block_sums_.clear();
+    return sv_;
+  }
   const StateVector& state() const { return sv_; }
 
  private:
+  /// Amplitudes per prepared sum.
+  static constexpr std::size_t kSampleBlock = 64;
+
   StateVector sv_;
+  std::vector<double> block_sums_;  ///< empty until prepare()
 };
 
 }  // namespace tetris::sim

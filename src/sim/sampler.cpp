@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <unordered_map>
 
 #include "common/error.h"
 #include "runtime/shard.h"
@@ -34,10 +35,40 @@ void inject_depolarizing(Backend& reg, const std::vector<int>& qubits,
   }
 }
 
-/// Returns the per-gate error probability under `noise` (0 for barriers).
-double gate_error_prob(const qir::Gate& g, const NoiseModel& noise) {
-  if (g.kind == qir::GateKind::Barrier) return 0.0;
-  return g.num_qubits() >= 2 ? noise.p2 : noise.p1;
+/// `Rng::bernoulli(p)` for one fixed p, resolved once per sample() call so
+/// a shot compares raw draws instead of converting each to a double: it
+/// fires without a draw when p >= 1 and otherwise on a raw draw below
+/// `Rng::bernoulli_threshold(p)`, which is exactly `uniform() < p`.
+struct Bernoulli {
+  explicit Bernoulli(double p)
+      : threshold(Rng::bernoulli_threshold(p)), certain(p >= 1.0) {}
+  bool operator()(Rng& rng) const {
+    return certain || rng.next_u64() < threshold;
+  }
+  std::uint64_t threshold;
+  bool certain;
+};
+
+/// A gate that may err, with its error trial.
+struct ErrorSite {
+  std::size_t gate;
+  Bernoulli trial;
+};
+
+/// The gates whose error probability under `noise` is > 0, in gate order;
+/// barriers, p <= 0 and NaN draw nothing.
+std::vector<ErrorSite> error_sites_of(const std::vector<qir::Gate>& gates,
+                                      const NoiseModel& noise) {
+  const Bernoulli one(noise.p1), two(noise.p2);
+  std::vector<ErrorSite> sites;
+  for (std::size_t i = 0; i < gates.size(); ++i) {
+    if (gates[i].kind == qir::GateKind::Barrier) continue;
+    const bool multi = gates[i].num_qubits() >= 2;
+    if ((multi ? noise.p2 : noise.p1) > 0.0) {
+      sites.push_back({i, multi ? two : one});
+    }
+  }
+  return sites;
 }
 
 std::vector<int> resolve_measured(const qir::Circuit& circuit,
@@ -52,16 +83,6 @@ std::vector<int> resolve_measured(const qir::Circuit& circuit,
   std::vector<int> all(static_cast<std::size_t>(circuit.num_qubits()));
   for (std::size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
   return all;
-}
-
-/// Applies per-bit readout flips to a raw basis index.
-std::size_t apply_readout(std::size_t index, const std::vector<int>& measured,
-                          double readout, Rng& rng) {
-  if (readout <= 0.0) return index;
-  for (int q : measured) {
-    if (rng.bernoulli(readout)) index ^= (std::size_t{1} << q);
-  }
-  return index;
 }
 
 /// Memory one sample() call may spend on checkpoints.
@@ -118,12 +139,16 @@ struct SampleContext {
   const Backend* ideal = nullptr;  ///< prepared noise-free run, shared read-only
   BackendKind kind = BackendKind::kStateVector;  ///< trajectory register engine
   const std::vector<int>* measured = nullptr;
-  const NoiseModel* noise = nullptr;
-  const std::vector<double>* error_probs = nullptr;  ///< per gate index
-  bool any_gate_noise = false;
+  const std::vector<ErrorSite>* sites = nullptr;  ///< gates that may err
+  /// Readout flip trial per measured qubit; none when readout <= 0.
+  const Bernoulli* readout = nullptr;
   std::uint64_t base_seed = 0;  ///< base of the per-shot stream family
   const Checkpoints* checkpoints = nullptr;  ///< empty off the statevector
 };
+
+/// Shots per raw basis index (readout flips applied), before projection
+/// onto bitstrings.
+using RawCounts = std::unordered_map<std::size_t, std::size_t>;
 
 /// Puts `traj` in the noise-free state of the last checkpoint at or before
 /// gate `first_error` (|0...0> when there is none) and returns the index of
@@ -152,12 +177,12 @@ std::size_t restore(const Checkpoints& cp, std::size_t first_error,
 /// site and replays the rest of the unfused gate stream on its own
 /// register, injecting at each error site in order.
 void run_shot_range(const SampleContext& ctx, std::size_t begin,
-                    std::size_t end, Counts& out) {
+                    std::size_t end, RawCounts& out) {
   const auto& gates = ctx.circuit->gates();
   // The trajectory register is only needed when a gate error can fire, so
   // the error-free path stays allocation-free.
   std::unique_ptr<Backend> traj;
-  if (ctx.any_gate_noise) {
+  if (!ctx.sites->empty()) {
     traj = make_backend(ctx.kind, ctx.circuit->num_qubits());
   }
   std::vector<std::size_t> error_sites;
@@ -165,13 +190,8 @@ void run_shot_range(const SampleContext& ctx, std::size_t begin,
     Rng rng = Rng::for_stream(ctx.base_seed, shot);
     std::size_t raw;
     error_sites.clear();
-    if (ctx.any_gate_noise) {
-      for (std::size_t i = 0; i < gates.size(); ++i) {
-        if ((*ctx.error_probs)[i] > 0.0 &&
-            rng.bernoulli((*ctx.error_probs)[i])) {
-          error_sites.push_back(i);
-        }
-      }
+    for (const ErrorSite& site : *ctx.sites) {
+      if (site.trial(rng)) error_sites.push_back(site.gate);
     }
     if (error_sites.empty()) {
       raw = ctx.ideal->sample_index(rng);
@@ -188,30 +208,32 @@ void run_shot_range(const SampleContext& ctx, std::size_t begin,
       }
       raw = traj->sample_index(rng);
     }
-    raw = apply_readout(raw, *ctx.measured, ctx.noise->readout, rng);
-    ++out.histogram[project_index(raw, *ctx.measured)];
+    if (ctx.readout != nullptr) {
+      for (int q : *ctx.measured) {
+        if ((*ctx.readout)(rng)) raw ^= std::size_t{1} << q;
+      }
+    }
+    ++out[raw];
   }
 }
 
 /// Shards `shots` over `pool` in `num_chunks` near-equal chunks with `width`
 /// participants via `runtime::run_chunked` (caller-participates cursor: safe
 /// from inside a pool worker, degrades to serial on a saturated pool) and
-/// merges the per-chunk histograms in index order into `total`. Chunk c
-/// writes only to partial[c] and draws only from shot-indexed RNG streams,
-/// so the merged histogram is independent of width, pool, and claim order.
+/// adds the per-chunk counts into `total`. Chunk c writes only to
+/// partial[c] and draws only from shot-indexed RNG streams, so the summed
+/// counts are independent of width, pool, and claim order.
 void run_sharded(const SampleContext& ctx, std::size_t shots,
                  std::size_t num_chunks, unsigned width,
-                 runtime::ThreadPool& pool, Counts& total) {
+                 runtime::ThreadPool& pool, RawCounts& total) {
   const std::size_t chunk = (shots + num_chunks - 1) / num_chunks;
-  std::vector<Counts> partial((shots + chunk - 1) / chunk);
+  std::vector<RawCounts> partial((shots + chunk - 1) / chunk);
   runtime::run_chunked(pool, partial.size(), width, [&](std::size_t c) {
     const std::size_t begin = c * chunk;
     run_shot_range(ctx, begin, std::min(shots, begin + chunk), partial[c]);
   });
-  for (Counts& p : partial) {
-    for (const auto& [key, value] : p.histogram) {
-      total.histogram[key] += value;
-    }
+  for (const RawCounts& p : partial) {
+    for (const auto& [raw, n] : p) total[raw] += n;
   }
 }
 
@@ -260,12 +282,8 @@ Counts sample(const qir::Circuit& circuit, const NoiseModel& noise, Rng& rng,
   if (options.shots == 0) return counts;
 
   const auto& gates = circuit.gates();
-  std::vector<double> error_probs(gates.size());
-  bool any_gate_noise = false;
-  for (std::size_t i = 0; i < gates.size(); ++i) {
-    error_probs[i] = gate_error_prob(gates[i], noise);
-    any_gate_noise = any_gate_noise || error_probs[i] > 0.0;
-  }
+  const std::vector<ErrorSite> sites = error_sites_of(gates, noise);
+  const Bernoulli readout(noise.readout);
 
   // Shard plan. The chunk grain is a pure performance knob: results are
   // bit-identical for any partition because shot i's randomness is
@@ -292,7 +310,7 @@ Counts sample(const qir::Circuit& circuit, const NoiseModel& noise, Rng& rng,
   std::unique_ptr<Backend> ideal = make_backend(resolved, circuit.num_qubits());
   Checkpoints checkpoints;
   if (resolved == BackendKind::kStateVector) {
-    if (any_gate_noise) {
+    if (!sites.empty()) {
       checkpoints = plan_checkpoints(gates.size(), circuit.num_qubits());
     }
     StateVector& sv = static_cast<StateVectorBackend&>(*ideal).state();
@@ -322,16 +340,21 @@ Counts sample(const qir::Circuit& circuit, const NoiseModel& noise, Rng& rng,
   ctx.ideal = ideal.get();
   ctx.kind = resolved;
   ctx.measured = &measured;
-  ctx.noise = &noise;
-  ctx.error_probs = &error_probs;
-  ctx.any_gate_noise = any_gate_noise;
+  ctx.sites = &sites;
+  // A NaN rate fails `<= 0` and so draws once per qubit, never flipping.
+  ctx.readout = noise.readout <= 0.0 ? nullptr : &readout;
   ctx.base_seed = base_seed;
   ctx.checkpoints = &checkpoints;
 
+  RawCounts raw;
   if (width == 1 || num_chunks <= 1) {
-    run_shot_range(ctx, 0, options.shots, counts);
+    run_shot_range(ctx, 0, options.shots, raw);
   } else {
-    run_sharded(ctx, options.shots, num_chunks, width, *pool, counts);
+    run_sharded(ctx, options.shots, num_chunks, width, *pool, raw);
+  }
+  // Bitstrings are built once per distinct outcome, not once per shot.
+  for (const auto& [index, n] : raw) {
+    counts.histogram[project_index(index, measured)] += n;
   }
   return counts;
 }

@@ -132,8 +132,9 @@ struct SampleOptions {
 /// therefore depends only on (rng state at entry, shot index): the returned
 /// `Counts` are bit-identical at any `threads`, `pool`, or `shots_per_chunk`
 /// value, and the caller's `rng` advances by the same single draw whatever
-/// `shots` is. Chunks are merged in index order onto an ordered map, so even
-/// the in-memory representation is identical.
+/// `shots` is. Shots are counted by raw basis index and the summed counts
+/// projected onto an ordered map once per distinct index, so even the
+/// in-memory representation is identical.
 ///
 /// **Pool sharing.** When executed on a worker of a thread pool (e.g. inside
 /// a `service::Service` flow job), helper tasks are enqueued on that same

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "qir/library.h"
 #include "revlib/benchmarks.h"
 #include "service/serialize.h"
@@ -124,6 +127,48 @@ TEST(Pipeline, JobBytesEqualAcrossSimdModes) {
         << job.name;
   }
   sim::kernels::set_simd_mode(saved);
+}
+
+std::uint64_t bits_of(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof bits);
+  return bits;
+}
+
+// Golden flow metrics: the exact bits of the sampled metrics of three flows
+// at seed 2025 and 1000 shots on their default targets (4mod5 on
+// fake_valencia, rd84 on a 12-qubit ring, cliff50 on the stabilizer
+// engine), recorded from a build whose engine and draws were libstdc++'s
+// `std::mt19937_64` and distributions. Any change to a draw, to the order
+// of draws or to the arithmetic that consumes them moves at least one of
+// these bits.
+TEST(Pipeline, GoldenFlowMetricBits) {
+  struct Golden {
+    const char* name;
+    std::uint64_t tvd_obfuscated, tvd_restored, accuracy_original,
+        accuracy_restored;
+  };
+  const Golden goldens[] = {
+      {"4mod5", 0x3fef6c8b43958106ULL, 0x3f9374bc6a7ef9deULL,
+       0x3fef9db22d0e5604ULL, 0x3fef645a1cac0831ULL},
+      {"rd84", 0x3fefa5e353f7ced9ULL, 0x3fb2b020c49ba5e2ULL,
+       0x3fee24dd2f1a9fbeULL, 0x3feda9fbe76c8b44ULL},
+      {"cliff50", 0x3fee978d4fdf3b64ULL, 0x3fb47ae147ae1479ULL,
+       0x3feef9db22d0e560ULL, 0x3fed70a3d70a3d71ULL},
+  };
+  for (const Golden& g : goldens) {
+    const auto& b = revlib::get_benchmark(g.name);
+    FlowConfig cfg;
+    cfg.shots = 1000;
+    const FlowJob job = make_flow_job(b.name, b.circuit, b.measured, cfg);
+    Rng rng(2025);
+    const FlowResult r =
+        run_flow(job.circuit, job.measured, job.target, job.config, rng);
+    EXPECT_EQ(bits_of(r.tvd_obfuscated), g.tvd_obfuscated) << g.name;
+    EXPECT_EQ(bits_of(r.tvd_restored), g.tvd_restored) << g.name;
+    EXPECT_EQ(bits_of(r.accuracy_original), g.accuracy_original) << g.name;
+    EXPECT_EQ(bits_of(r.accuracy_restored), g.accuracy_restored) << g.name;
+  }
 }
 
 }  // namespace

@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "common/error.h"
 #include "qir/library.h"
 #include "runtime/thread_pool.h"
+#include "sim/backend/statevector_backend.h"
 #include "sim/fusion.h"
 #include "sim/kernels/simd.h"
 #include "sim/statevector.h"
@@ -365,14 +367,16 @@ struct ReferenceRun {
 };
 
 /// The per-shot contract of `sample` written out directly, with no
-/// checkpoints, sharding or engine layer: one base draw, and shot i on
-/// Rng::for_stream(base, i); a Bernoulli draw per gate in gate order
-/// (barriers and zero-probability gates draw nothing); an errored shot
-/// replays every gate from |0...0>, injecting a uniform non-identity Pauli
-/// string after each error site; one uniform for the outcome, drawn from
-/// the ideal state (apply_circuit, or apply_fused when fused) if no gate
-/// erred; then one readout flip draw per qubit. All qubits are measured.
-/// Errored shots do not depend on `fuse`, so one pass serves both.
+/// checkpoints, sharding, thresholds or engine layer: one base draw, and
+/// shot i on Rng::for_stream(base, i); a Rng::bernoulli trial per gate
+/// whose rate is > 0, in gate order (barriers, p <= 0 and NaN draw
+/// nothing, and p >= 1 errs without a draw); an errored shot replays every
+/// gate from |0...0>, injecting a uniform non-identity Pauli string after
+/// each error site; one uniform for the outcome, drawn from the ideal state
+/// (apply_circuit, or apply_fused when fused) if no gate erred; then,
+/// unless readout <= 0, one readout flip trial per qubit (a NaN rate draws
+/// and never flips). All qubits are measured. Errored shots do not depend
+/// on `fuse`, so one pass serves both.
 ReferenceRun reference_sample(const qir::Circuit& c, const NoiseModel& noise,
                               std::uint64_t seed, std::size_t shots) {
   const int n = c.num_qubits();
@@ -381,7 +385,7 @@ ReferenceRun reference_sample(const qir::Circuit& c, const NoiseModel& noise,
   unfused_ideal.apply_circuit(c);
   fused_ideal.apply_fused(FusionPlan::build(c));
   const auto record = [&](std::size_t raw, Rng r, Counts& out) {
-    if (noise.readout > 0.0) {
+    if (!(noise.readout <= 0.0)) {
       for (int q = 0; q < n; ++q) {
         if (r.bernoulli(noise.readout)) raw ^= std::size_t{1} << q;
       }
@@ -524,6 +528,72 @@ TEST(SamplerReference, FourteenQubitsUnderTheSnapshotBudget) {
   EXPECT_GE(*reference.first_errors.rbegin(), 8 * spacing);
   EXPECT_EQ(reference.error_sites.count(kGates - 1), 1u);
   expect_matches_reference(c, noise, kShots, reference);
+}
+
+TEST(SamplerReference, DrawsAtTheEdgesOfTheRates) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Rates {
+    double p1, p2, readout;
+    const char* what;
+  };
+  const Rates cases[] = {
+      {-0.5, 0.04, 0.02, "p1 < 0 draws nothing"},
+      {0.0, 0.04, 0.0, "p1 = 0 and readout = 0 draw nothing"},
+      {0.01, 1.0, 0.02, "p2 = 1 errs without a draw"},
+      {1.5, 0.0, 0.02, "p1 > 1 errs without a draw"},
+      {nan, 0.04, 0.02, "a NaN gate rate draws nothing"},
+      {0.01, 0.04, nan, "a NaN readout draws and never flips"},
+      {0.01, 0.04, 1.0, "readout 1 flips every bit without a draw"},
+  };
+  Rng crng(11);
+  qir::Circuit c = qir::library::random_universal(5, 16, crng);
+  c.barrier();
+  c.append(qir::library::random_universal(5, 16, crng));
+  for (const Rates& rates : cases) {
+    SCOPED_TRACE(rates.what);
+    NoiseModel noise;
+    noise.p1 = rates.p1;
+    noise.p2 = rates.p2;
+    noise.readout = rates.readout;
+    const ReferenceRun reference = reference_sample(c, noise, 77, 200);
+    expect_matches_reference(c, noise, 200, reference);
+  }
+}
+
+TEST(SamplerOutcome, PreparedBlockDrawEqualsTheScan) {
+  // StateVectorBackend::prepare's block sums and binary search must return
+  // StateVector::sample's index for the same draw: on random states, on
+  // states with whole zero-probability blocks (a qubit projected onto |0>
+  // or |1>), and on states scaled to a total of 0.6, where 40% of the draws
+  // pass the accumulated total and take the scan's last-index tail.
+  const cplx zero(0.0, 0.0), one(1.0, 0.0), scale(std::sqrt(0.6), 0.0);
+  const cplx keep0[2][2] = {{one, zero}, {zero, zero}};
+  const cplx keep1[2][2] = {{zero, zero}, {zero, one}};
+  const cplx shrink[2][2] = {{scale, zero}, {zero, scale}};
+  for (int n = 0; n <= 14; ++n) {
+    Rng crng(static_cast<std::uint64_t>(100 + n));
+    qir::Circuit c(n);
+    for (int layer = 0; layer < 2; ++layer) {
+      for (int q = 0; q < n; ++q) c.ry(crng.uniform() * 3.0, q);
+      for (int q = 0; q + 1 < n; ++q) c.cx(q, q + 1);
+    }
+    for (int variant = 0; variant < 4; ++variant) {
+      StateVector sv(n);
+      sv.apply_circuit(c);
+      if (n > 0 && variant == 1) sv.apply_matrix(keep0, std::min(n - 1, 6));
+      if (n > 0 && variant == 2) sv.apply_matrix(keep1, n - 1);
+      if (n > 0 && variant == 3) sv.apply_matrix(shrink, 0);
+      StateVectorBackend prepared(n);
+      prepared.state() = sv;
+      prepared.prepare();
+      Rng a(static_cast<std::uint64_t>(n * 4 + variant));
+      Rng b = a;
+      for (int draw = 0; draw < 3000; ++draw) {
+        ASSERT_EQ(prepared.sample_index(a), sv.sample(b))
+            << n << " qubits, variant " << variant << ", draw " << draw;
+      }
+    }
+  }
 }
 
 TEST(SamplerEdge, ZeroQubitCircuit) {

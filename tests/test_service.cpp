@@ -562,34 +562,57 @@ constexpr bool kSanitized = false;
 constexpr bool kSanitized = false;
 #endif
 
-// A finished job keeps its artifact bytes, not a live FlowResult, so a
-// service that never forgets a job grows by a small fixed amount per job:
-// 200 done 4mod5 jobs must each add less than 12 KB of heap (record, job,
-// trace and artifact). Holding the FlowResult took about 42 KB per job, and
-// artifact strings with the growth slack of their last append about 16 KB.
-TEST(ServiceMemory, DoneJobsRetainLessThan12KBEach) {
 #if defined(__GLIBC__) && __GLIBC_PREREQ(2, 33)
-  if (kSanitized) GTEST_SKIP() << "sanitizer allocators bypass mallinfo2";
+/// Heap bytes each of `jobs` done `name` flows leaves in a service that
+/// keeps every record, read from mallinfo2 around the batch; 0 when the
+/// allocator reports no heap.
+double retained_per_done_job(const char* name, std::size_t jobs) {
   ServiceConfig config;
   config.num_threads = 1;
   Service svc(config);
   // Warm-up job: the pool thread and every lazily built table exist before
   // the baseline is read.
-  ASSERT_EQ(svc.submit(benchmark_job("4mod5"), 0).wait().state,
-            JobState::kDone);
+  EXPECT_EQ(svc.submit(benchmark_job(name), 0).wait().state, JobState::kDone);
   const std::size_t before = mallinfo2().uordblks;
-  if (before == 0) GTEST_SKIP() << "mallinfo2 reports no heap in use";
-  constexpr std::size_t kJobs = 200;
-  for (std::size_t i = 1; i <= kJobs; ++i) {
-    svc.submit(benchmark_job("4mod5"), i);
-  }
+  if (before == 0) return 0.0;
+  for (std::size_t i = 1; i <= jobs; ++i) svc.submit(benchmark_job(name), i);
   for (const JobOutcome& out : svc.wait_all()) {
-    ASSERT_EQ(out.state, JobState::kDone);
+    EXPECT_EQ(out.state, JobState::kDone);
   }
   const std::size_t after = mallinfo2().uordblks;
-  const double per_job =
-      (static_cast<double>(after) - static_cast<double>(before)) / kJobs;
-  EXPECT_LT(per_job, 12.0 * 1024.0) << "bytes retained per done job";
+  return (static_cast<double>(after) - static_cast<double>(before)) /
+         static_cast<double>(jobs);
+}
+#endif
+
+// A finished record keeps only what its outcome echoes: name, config,
+// warnings, resolved engine, artifact bytes and the packed trace. The
+// circuit, measured list and target die with the task that ran the job,
+// so a service that never forgets a job grows by a small fixed amount per
+// job: 200 done 4mod5 jobs must each add less than 9 KB of heap. Holding
+// the FlowResult took about 42 KB per job, artifact strings with the
+// growth slack of their last append about 16 KB, and the inputs with a
+// span-list trace 10.3 KB.
+TEST(ServiceMemory, DoneJobsRetainLessThan9KBEach) {
+#if defined(__GLIBC__) && __GLIBC_PREREQ(2, 33)
+  if (kSanitized) GTEST_SKIP() << "sanitizer allocators bypass mallinfo2";
+  const double per_job = retained_per_done_job("4mod5", 200);
+  if (per_job == 0.0) GTEST_SKIP() << "mallinfo2 reports no heap in use";
+  EXPECT_LT(per_job, 9.0 * 1024.0) << "bytes retained per done job";
+#else
+  GTEST_SKIP() << "needs glibc's mallinfo2";
+#endif
+}
+
+// Where the inputs dominate: a done cliff50 job retained about 39 KB while
+// its record held the job, whose copy alone holds 19.6 KB (14.7 KB of it
+// the 50-qubit Target).
+TEST(ServiceMemory, DoneCliff50JobsRetainAtMost22KBEach) {
+#if defined(__GLIBC__) && __GLIBC_PREREQ(2, 33)
+  if (kSanitized) GTEST_SKIP() << "sanitizer allocators bypass mallinfo2";
+  const double per_job = retained_per_done_job("cliff50", 100);
+  if (per_job == 0.0) GTEST_SKIP() << "mallinfo2 reports no heap in use";
+  EXPECT_LE(per_job, 22.0 * 1024.0) << "bytes retained per done job";
 #else
   GTEST_SKIP() << "needs glibc's mallinfo2";
 #endif
