@@ -24,8 +24,8 @@
 // Flags (bench_util.h): --shots N sets the gate count per circuit (yes,
 // "shots" — the shared flag set keeps the CI smoke invocation uniform
 // across benches), --iterations N the timed repetitions per width, --seed,
-// --threads A[,B,...] sizes the global pool for the parallel kernels (first
-// value only), --out the JSON path (default BENCH_fusion.json).
+// --out the JSON path (default BENCH_fusion.json). Every sweep runs on the
+// calling thread.
 //
 // The harness is also a correctness gate; any violation makes the exit
 // status non-zero, which is what CI checks. For every width the SIMD-fused
@@ -35,8 +35,8 @@
 // scalar-fused state must agree with the scalar-unfused reference within
 // --tolerance (fixed 1e-9: fusion multiplies gate matrices, which reorders
 // rounding). The speedup numbers are reported but NOT gated; they depend on
-// the host and on --threads, so regenerate the checked-in JSON on the
-// hardware you care about.
+// the host, so regenerate the checked-in JSON on the hardware you care
+// about.
 //
 // CI runs `bench_fusion_throughput --shots 64 --iterations 2` as a smoke
 // check, validates the JSON with `python -m json.tool`, and on an AVX2
@@ -57,7 +57,6 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "qir/circuit.h"
-#include "runtime/thread_pool.h"
 #include "sim/fusion.h"
 #include "sim/kernels/simd.h"
 #include "sim/statevector.h"
@@ -149,7 +148,7 @@ double measure_stream_gbps() {
 }
 
 void write_json(const std::string& path, const benchutil::Args& args,
-                unsigned pool_threads, double tolerance, bool tolerance_ok,
+                double tolerance, bool tolerance_ok,
                 bool simd_identical, bool avx2, double stream_gbps,
                 const std::vector<WidthPoint>& sweep) {
   json::Writer w;
@@ -158,7 +157,6 @@ void write_json(const std::string& path, const benchutil::Args& args,
   w.key("gates_per_circuit").value(args.shots);
   w.key("iterations").value(args.iterations);
   w.key("seed").value(args.seed);
-  w.key("pool_threads").value(pool_threads);
   w.key("simd_mode").value(avx2 ? "avx2" : "scalar");
   w.key("stream_gbps").value(stream_gbps);
   w.key("tolerance").value(tolerance);
@@ -233,10 +231,6 @@ int main(int argc, char** argv) {
   const int gates = static_cast<int>(std::max<std::size_t>(8, args.shots));
   const int iterations = std::max(1, args.iterations);
   constexpr double kTolerance = 1e-9;
-  if (!args.threads.empty()) {
-    runtime::ThreadPool::set_global_threads(args.threads.front());
-  }
-  const unsigned pool_threads = runtime::ThreadPool::global().size();
   const bool avx2 = sim::kernels::avx2_available();
   const SimdMode ambient = sim::kernels::simd_mode();
   const double stream_gbps = measure_stream_gbps();
@@ -245,8 +239,7 @@ int main(int argc, char** argv) {
   // regime gate fusion and the cache tiling target.
   const std::vector<int> widths = {4, 8, 12, 16, 18, 20};
   std::cout << "workload: layered fusion-friendly circuits, " << gates
-            << " gates x " << iterations << " iterations, pool "
-            << pool_threads << " threads, simd "
+            << " gates x " << iterations << " iterations, simd "
             << (avx2 ? "avx2" : "scalar-only") << ", memcpy roof "
             << fmt_double(stream_gbps, 1) << " GB/s\n\n";
   benchutil::Table table({"qubits", "sweeps", "scalar fused", "simd fused",
@@ -344,7 +337,7 @@ int main(int argc, char** argv) {
               << (simd_identical ? "yes" : "NO — KERNEL CORRECTNESS BUG")
               << "\n";
   }
-  write_json(out_path, args, pool_threads, kTolerance, tolerance_ok,
-             simd_identical, avx2, stream_gbps, sweep);
+  write_json(out_path, args, kTolerance, tolerance_ok, simd_identical, avx2,
+             stream_gbps, sweep);
   return tolerance_ok && simd_identical ? 0 : 1;
 }

@@ -13,7 +13,6 @@
 #include "lock/splitter.h"
 #include "qir/library.h"
 #include "revlib/benchmarks.h"
-#include "runtime/thread_pool.h"
 #include "sim/fusion.h"
 #include "sim/kernels/simd.h"
 #include "sim/sampler.h"
@@ -45,10 +44,10 @@ void BM_StateVectorCxChain(benchmark::State& state) {
 }
 BENCHMARK(BM_StateVectorCxChain)->Arg(5)->Arg(10)->Arg(12)->Arg(16);
 
-// One permutation gate per iteration on the serial path: range(0) = 0 CX,
-// 1 CCX, 2 SWAP; range(1) = qubits. Placements cycle over every adjacent
-// wire window in both orders, so the reported time is the mean per-gate
-// cost over low, middle and top wires.
+// One permutation gate per iteration: range(0) = 0 CX, 1 CCX, 2 SWAP;
+// range(1) = qubits. Placements cycle over every adjacent wire window in
+// both orders, so the reported time is the mean per-gate cost over low,
+// middle and top wires.
 void BM_StateVectorPermutation(benchmark::State& state) {
   const int n = static_cast<int>(state.range(1));
   std::vector<qir::Gate> gates;
@@ -69,7 +68,6 @@ void BM_StateVectorPermutation(benchmark::State& state) {
     }
   }
   sim::StateVector sv(n);
-  sv.set_parallel_threshold(n + 1);  // pin the serial kernels
   for (int q = 0; q < n; ++q) sv.apply_gate(qir::make_h(q));
   std::size_t i = 0;
   for (auto _ : state) {
@@ -83,27 +81,6 @@ BENCHMARK(BM_StateVectorPermutation)
     ->Args({0, 12})->Args({0, 14})
     ->Args({1, 12})->Args({1, 14})
     ->Args({2, 12})->Args({2, 14});
-
-// Parallel-kernel scaling: the same H layer, forced through the threaded
-// statevector path on a pool of range(1) workers. Compare against
-// BM_StateVectorHLayer at equal qubit counts for the parallel overhead /
-// speedup picture.
-void BM_StateVectorHLayerMT(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  runtime::ThreadPool::set_global_threads(
-      static_cast<unsigned>(state.range(1)));
-  sim::StateVector sv(n);
-  sv.set_parallel_threshold(0);  // always take the parallel kernels
-  for (auto _ : state) {
-    for (int q = 0; q < n; ++q) sv.apply_gate(qir::make_h(q));
-    benchmark::DoNotOptimize(sv.amplitudes().data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  runtime::ThreadPool::set_global_threads(0);  // restore default sizing
-}
-BENCHMARK(BM_StateVectorHLayerMT)
-    ->Args({16, 1})->Args({16, 2})->Args({16, 4})
-    ->Args({20, 1})->Args({20, 2})->Args({20, 4});
 
 // SIMD kernel dispatch: one fused sweep workload (gang rows + pair windows)
 // under each kernel mode. range(0) = qubits, range(1) = 0 scalar / 1 AVX2;
@@ -142,26 +119,6 @@ BENCHMARK(BM_FusedSweepSimd)
     ->Args({12, 0})->Args({12, 1})
     ->Args({16, 0})->Args({16, 1})
     ->Args({20, 0})->Args({20, 1});
-
-// Scheduling overhead of parallel_for itself on a trivial body.
-void BM_ParallelForOverhead(benchmark::State& state) {
-  runtime::ThreadPool pool(static_cast<unsigned>(state.range(0)));
-  std::vector<double> sink(std::size_t{1} << 20, 1.0);
-  runtime::ParallelForOptions options;
-  options.pool = &pool;
-  for (auto _ : state) {
-    runtime::parallel_for(
-        0, sink.size(),
-        [&sink](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) sink[i] *= 1.0000001;
-        },
-        options);
-    benchmark::DoNotOptimize(sink.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(sink.size()));
-}
-BENCHMARK(BM_ParallelForOverhead)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_NoisySampling(benchmark::State& state) {
   const auto& b = revlib::get_benchmark("rd53");

@@ -23,8 +23,8 @@
 // enough requests (>= 2000 per mode) for the medians to mean anything —
 // CI's small --iterations smoke stays informational.
 //
-// Checked-in BENCH_serve.json numbers come from the 1-core dev container;
-// regenerate on real multicore hardware for meaningful scaling curves.
+// Checked-in BENCH_serve.json numbers come from a shared 4-core AVX2 host;
+// regenerate on the hardware you care about.
 
 #include <algorithm>
 #include <chrono>
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
   service::Service svc(scfg);
 
   net::ServerConfig ncfg;
-  ncfg.port = 0;  // connection_threads stays 0: handlers inline on the loop
+  ncfg.port = 0;
   net::Server server(svc, ncfg);
   server.start();
   std::cout << "serving on " << server.base_url()
@@ -280,10 +280,9 @@ int main(int argc, char** argv) {
   if (!args.out.empty()) {
     json::Writer w;
     w.begin_object();
-    w.key("schema").value("tetrislock.bench_serve.v3");
+    w.key("schema").value("tetrislock.bench_serve.v4");
     w.key("benchmark").value("serve_throughput");
     w.key("requests_per_connection").value(args.iterations);
-    w.key("connection_workers").value(ncfg.connection_threads);  // 0 = inline
     w.key("keepalive_speedup").begin_object();
     w.key("connections").value(max_connections);
     w.key("ratio").value(speedup);

@@ -174,10 +174,6 @@ Server::Server(service::Service& service, ServerConfig config)
       started_unix_(std::chrono::duration_cast<std::chrono::seconds>(
                         std::chrono::system_clock::now().time_since_epoch())
                         .count()) {
-  if (config_.connection_threads > 0) {
-    private_pool_ =
-        std::make_unique<runtime::ThreadPool>(config_.connection_threads);
-  }
   // Pre-register every HTTP-layer instrument so the request path never takes
   // the registry mutex — it hits the cached references directly.
   static constexpr const char* kClasses[kStatusClassCount] = {"2xx", "4xx",
@@ -205,7 +201,6 @@ Server::Server(service::Service& service, ServerConfig config)
   rc.max_requests_per_connection = config_.max_requests_per_connection;
   rc.max_header_bytes = config_.max_header_bytes;
   rc.max_body_bytes = config_.max_body_bytes;
-  rc.handler_pool = private_pool_.get();
   if (config_.telemetry) {
     // The hook runs on the loop thread; Histogram::observe is a few relaxed
     // atomic ops, well under the loop's per-request budget.
@@ -214,9 +209,9 @@ Server::Server(service::Service& service, ServerConfig config)
     };
   }
   // Route handlers only parse, route, and serialize — job compute lives on
-  // the Service pool — so with no dedicated handler pool they run inline on
-  // the loop thread (two context switches per request cheaper).
-  rc.inline_handlers = private_pool_ == nullptr;
+  // the Service pool — so they run inline on the loop thread (two context
+  // switches per request cheaper than a pool hop).
+  rc.inline_handlers = true;
   reactor_ = std::make_unique<Reactor>(
       std::move(rc),
       [this](const http::Request& request) { return handle(request); },

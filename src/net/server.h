@@ -9,7 +9,6 @@
 #include "net/http.h"
 #include "net/reactor.h"
 #include "obs/registry.h"
-#include "runtime/thread_pool.h"
 #include "service/service.h"
 
 namespace tetris::net {
@@ -19,13 +18,6 @@ struct ServerConfig {
   std::string host = "127.0.0.1";  ///< bind address (loopback by default)
   int port = 0;                    ///< 0 = ephemeral; see Server::port()
   int backlog = 64;
-  /// Handler workers: 0 (the default) runs route handlers inline on the
-  /// event-loop thread — handlers only parse/route/serialize (job compute
-  /// lives on the Service pool), so skipping the pool hop saves two context
-  /// switches per request. A positive value gives the server a private
-  /// handler pool of that size, isolating the loop from handler latency
-  /// when requests carry heavyweight payloads (large QASM bodies).
-  unsigned connection_threads = 0;
   /// Idle timeout: a keep-alive connection with no request in flight and no
   /// bytes arriving for this long is dropped (silently — no response owed).
   int io_timeout_ms = 10000;
@@ -99,16 +91,11 @@ struct ServerConfig {
 /// length_required, request_timeout, bad_request).
 ///
 /// Threading: the server is a thin route table over a net::Reactor — one
-/// event-loop thread owns every socket (accept + readiness + write-back).
-/// Complete requests run `handle()` inline on the loop by default, or on a
-/// private handler pool when ServerConfig::connection_threads > 0 (responses
-/// then complete back onto the loop via the reactor's wake pipe).
-/// Connections are persistent (HTTP/1.1 keep-alive) and pipelined
-/// requests are answered in order. Job compute runs wherever the Service
-/// puts it — give the Service a private pool (ServiceConfig::num_threads >
-/// 0) so POST /v1/jobs stays asynchronous even when handler tasks execute on
-/// runtime pool workers (a Service sharing the global pool runs
-/// worker-thread submissions inline by design).
+/// event-loop thread owns every socket (accept + readiness + write-back) and
+/// runs `handle()` inline for each complete request. Handlers only parse,
+/// route and serialize; job compute runs on the Service's pool, so the loop
+/// never waits on a flow. Connections are persistent (HTTP/1.1 keep-alive)
+/// and pipelined requests are answered in order.
 ///
 /// Determinism over the wire: a job's outcome is a pure function of
 /// (circuit, seed, flow fingerprint), so GET /v1/jobs/{id}?timing=0 is
@@ -178,7 +165,6 @@ class Server {
 
   service::Service& service_;
   ServerConfig config_;
-  std::unique_ptr<runtime::ThreadPool> private_pool_;
 
   /// HTTP-layer telemetry, separate from the Service's registry so neither
   /// object holds a collector into the other's lifetime. Instruments are

@@ -12,8 +12,8 @@
 
 namespace tetris::runtime {
 
-/// \brief Caller-participates chunk fan-out — the nested-capable sibling of
-/// `parallel_for`.
+/// \brief Caller-participates chunk fan-out — the library's one way to split
+/// work inside a job (`sim::sample` shards its shots with it).
 ///
 /// Runs `fn(c)` exactly once for every chunk index in [0, num_chunks),
 /// concurrently on up to `width` participants: the calling thread plus up
@@ -22,8 +22,8 @@ namespace tetris::runtime {
 /// chunk has *finished* — it never waits for helper tasks that have not
 /// started. Helpers stuck in the queue behind unrelated work later find the
 /// cursor exhausted and return without touching anything but the
-/// shared-ownership control block, which makes this safe where
-/// `parallel_for` must fall back to serial:
+/// shared-ownership control block, which makes this safe at any nesting
+/// depth:
 ///
 ///   - called **from a pool worker**, the helpers queue on that same pool;
 ///     on a saturated pool they never run and the calling worker simply

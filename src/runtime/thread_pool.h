@@ -22,17 +22,22 @@ namespace tetris::runtime {
 /// Tasks are submitted as callables and drained FIFO by `num_threads` worker
 /// threads; `submit` returns a `std::future` that carries the task's return
 /// value or its exception. The pool is intentionally simple — no work
-/// stealing, no priorities — because every hot loop in the library goes
-/// through `parallel_for` or `run_chunked` (both chunked, self-balancing via
-/// a shared cursor), and `service::Service` submits coarse independent flow
-/// jobs; none of them benefits from a fancier scheduler.
+/// stealing, no priorities — because the library fans out at two levels
+/// only: `service::Service` submits coarse independent flow jobs, and
+/// `run_chunked` (shard.h) splits a job's shots over a shared cursor that
+/// balances itself. Neither benefits from a fancier scheduler.
 ///
 /// Most callers should not construct a pool: use `ThreadPool::global()`,
 /// which is sized from `--jobs` / `TETRIS_THREADS` / the hardware and shared
-/// by the statevector kernels, the sampler, and the service.
+/// by the sampler and the service.
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers; 0 means `std::thread::hardware_concurrency`.
+  /// Widest pool a `--jobs` or `TETRIS_THREADS` value may ask for. Values
+  /// above it are rejected (`--jobs`) or ignored (`TETRIS_THREADS`) rather
+  /// than narrowed to `unsigned`, where 2^32 + 1 would wrap to one worker.
+  static constexpr unsigned kMaxThreads = 1024;
+
+  /// Spawns `num_threads` workers; 0 means `default_global_threads()`.
   explicit ThreadPool(unsigned num_threads = 0);
 
   /// Drains nothing: pending tasks are completed before the workers exit.
@@ -76,8 +81,9 @@ class ThreadPool {
   }
 
   /// True when the calling thread is a worker of *any* ThreadPool. Used by
-  /// `parallel_for` to fall back to serial execution instead of deadlocking
-  /// on nested parallelism (a pool task waiting for pool tasks).
+  /// `service::Service` to run a job submitted from a worker of its own pool
+  /// inline instead of deadlocking on nested parallelism (a pool task
+  /// waiting for pool tasks).
   ///
   /// \return true iff the caller is inside some pool's worker_loop.
   static bool on_worker_thread();
@@ -104,8 +110,9 @@ class ThreadPool {
   /// `n == 0` restores the default sizing.
   static void set_global_threads(unsigned n);
 
-  /// Sizing rule for the global pool: `TETRIS_THREADS` env var when set to a
-  /// positive integer, otherwise `std::thread::hardware_concurrency` (>= 1).
+  /// Sizing rule for the global pool: `TETRIS_THREADS` env var when set to an
+  /// integer in [1, kMaxThreads], otherwise `std::thread::hardware_concurrency`
+  /// (>= 1).
   static unsigned default_global_threads();
 
  private:
@@ -120,50 +127,5 @@ class ThreadPool {
   std::atomic<std::uint64_t> tasks_completed_{0};
   std::atomic<unsigned> active_workers_{0};
 };
-
-/// Chunking knobs for `parallel_for`.
-struct ParallelForOptions {
-  /// Minimum number of iterations per chunk. Ranges at or below one grain run
-  /// serially on the calling thread (zero scheduling overhead), so `grain`
-  /// doubles as the small-problem cutoff.
-  std::size_t grain = 4096;
-  /// Pool to run on; nullptr means `ThreadPool::global()`.
-  ThreadPool* pool = nullptr;
-  /// Chunk sizes are rounded up to a multiple of `align`, so chunk
-  /// boundaries land on multiples of it (relative to `begin`). The SIMD
-  /// statevector kernels pass their vector group width and the tiled fused
-  /// sweeps their tile size, keeping every chunk boundary off the middle of
-  /// a vector group or cache tile. Purely a partitioning knob: bodies whose
-  /// per-index results are position-independent (all of this repo's) return
-  /// identical results at any alignment.
-  std::size_t align = 1;
-};
-
-/// Runs `body(chunk_begin, chunk_end)` over a partition of [begin, end).
-///
-/// The range is cut into chunks of at least `options.grain` iterations which
-/// workers (and the calling thread, which participates) claim from a shared
-/// cursor — cheap dynamic load balancing without work stealing. Returns when
-/// every chunk has completed. The first exception thrown by `body` is
-/// rethrown on the caller after the remaining chunks are cancelled.
-///
-/// Chunks never overlap and each index is visited exactly once, so any body
-/// that writes only to locations derived from its own indices is safe and —
-/// because no arithmetic is reassociated across chunks — produces results
-/// bit-identical to the serial loop.
-///
-/// Calls from inside a pool worker run serially inline (nested parallelism
-/// would deadlock a fixed pool). Fan-out that must also parallelize when
-/// nested uses `runtime::run_chunked` (shard.h) instead — the
-/// caller-participates cursor design `sim::sample` shards its trajectories
-/// with; see docs/ARCHITECTURE.md.
-///
-/// \param begin   first iteration index (inclusive)
-/// \param end     one past the last iteration index
-/// \param body    chunk body, invoked as body(chunk_begin, chunk_end)
-/// \param options grain size and target pool
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t, std::size_t)>& body,
-                  const ParallelForOptions& options = {});
 
 }  // namespace tetris::runtime

@@ -301,7 +301,7 @@ void Service::enqueue(const std::shared_ptr<JobRecord>& record,
                       lock::FlowJob job) {
   // From inside a worker of the shared global pool, queueing and waiting
   // would deadlock the fixed pool (a pool task waiting for a pool task); run
-  // the job inline instead, exactly like parallel_for does.
+  // the job inline instead.
   if (!private_pool_ && runtime::ThreadPool::on_worker_thread()) {
     execute(record, std::move(job));
     return;

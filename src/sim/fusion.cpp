@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/error.h"
-#include "runtime/thread_pool.h"
 #include "sim/kernels/kernels.h"
 
 namespace tetris::sim {
@@ -337,24 +336,14 @@ void StateVector::apply_tiled_run(const FusedOp* ops, std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) lowered[i] = lower_tile_op(ops[i]);
   const kernels::SimdMode mode = kernels::simd_mode();
   cplx* amps = amps_.data();
-  const TileOp* tops = lowered.data();
   // Each tile applies the run's ops in order before moving on. Ops are
   // tile-local, so tile t's amplitudes see exactly the operation sequence of
-  // the whole-array sweeps — tiling reorders traversal, not arithmetic —
-  // and tiles are disjoint, so parallel chunks of tiles stay bit-identical.
-  const auto kernel = [=](std::size_t t_begin, std::size_t t_end) {
-    for (std::size_t t = t_begin; t < t_end; ++t) {
-      cplx* region = amps + (t << tq);
-      for (std::size_t i = 0; i < count; ++i) {
-        apply_tile_op(region, tile, tops[i], mode);
-      }
+  // the whole-array sweeps — tiling reorders traversal, not arithmetic.
+  for (std::size_t t = 0; t < num_tiles; ++t) {
+    cplx* region = amps + (t << tq);
+    for (std::size_t i = 0; i < count; ++i) {
+      apply_tile_op(region, tile, lowered[i], mode);
     }
-  };
-  if (use_parallel()) {
-    const std::size_t grain = std::max<std::size_t>(1, parallel_grain_ >> tq);
-    runtime::parallel_for(0, num_tiles, kernel, {grain, nullptr});
-  } else {
-    kernel(0, num_tiles);
   }
 }
 

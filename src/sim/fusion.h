@@ -76,9 +76,8 @@ struct FusedOp {
 /// (~1e-13 per merged gate), not bit-identical. Gang ops whose entries are
 /// single unmerged gates apply the exact per-amplitude operation sequence of
 /// the unfused stream (the sweeps differ only in memory-access order).
-/// Serial-vs-parallel execution of one plan is always bit-identical
-/// (disjoint chunks, no reassociation) — see docs/ARCHITECTURE.md,
-/// "Gate fusion".
+/// Replaying one plan always gives the same bits, tiled or not and in
+/// either kernel mode — see docs/ARCHITECTURE.md, "Gate fusion".
 class FusionPlan {
  public:
   /// Plans the fused execution of `circuit`. Throws InvalidArgument if

@@ -11,19 +11,18 @@ namespace tetris::sim::kernels {
 /// scalar and one AVX2 flavour each.
 ///
 /// Every kernel operates on a REGION: a base pointer plus an index range in
-/// the region's own coordinates. Passing the full amplitude array with a
-/// chunk of its global range runs the classic whole-vector sweep (this is
-/// what runtime::parallel_for chunks feed); passing a 2^t-amplitude tile
-/// with its full local range runs the same gate on one cache-resident tile
-/// (the L2 blocking path of StateVector::apply_fused). Both uses execute
-/// identical per-amplitude arithmetic, so tiled and untiled sweeps are
-/// bit-identical.
+/// the region's own coordinates. StateVector passes the full amplitude array
+/// with its whole range, one call per gate, for the classic whole-vector
+/// sweep; StateVector::apply_fused passes a 2^t-amplitude tile with its full
+/// local range to run the same gate on one cache-resident tile (L2
+/// blocking). Each index's result depends on nothing but that index, so
+/// tiled and untiled sweeps are bit-identical.
 ///
 /// One determinism rule covers every kernel: the SIMD mode never changes a
 /// byte. The scalar kernels are verbatim copies of the historical
 /// StateVector loops. The AVX2 kernels compute each amplitude with the same
 /// products, roundings and summation order, two amplitudes per register and
-/// no FMA, so they write the scalar kernels' bits wherever a chunk boundary
+/// no FMA, so they write the scalar kernels' bits wherever a range boundary
 /// falls. The permutation and controlled kernels at the end of this header
 /// have no AVX2 flavour: each amplitude they write equals the historical
 /// per-pair loop's value (up to the sign of a zero).

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/error.h"
-#include "runtime/thread_pool.h"
 #include "sim/kernels/kernels.h"
 
 namespace tetris::sim {
@@ -13,27 +12,6 @@ namespace tetris::sim {
 namespace {
 constexpr double kInvSqrt2 = 0.70710678118654752440;
 const cplx kI(0.0, 1.0);
-
-/// Runs `kernel(begin, end)` over [0, count): chunked across the global pool
-/// when `parallel` is set, as one serial call otherwise. Both paths execute
-/// the same per-index arithmetic, so results are bit-identical. `align`
-/// keeps chunk boundaries on vector-group multiples (AVX2 processes two
-/// complex amplitudes per register) — a partitioning nicety, never a
-/// correctness requirement.
-template <typename Kernel>
-void run_kernel(bool parallel, std::size_t grain, std::size_t align,
-                std::size_t count, const Kernel& kernel) {
-  if (parallel) {
-    runtime::parallel_for(0, count, kernel, {grain, nullptr, align});
-  } else {
-    kernel(std::size_t{0}, count);
-  }
-}
-
-/// Chunk alignment for the active mode: AVX2 packs 2 complex per register.
-std::size_t mode_align(kernels::SimdMode mode) {
-  return mode == kernels::SimdMode::kAvx2 ? 2 : 1;
-}
 }  // namespace
 
 void single_qubit_matrix(qir::GateKind kind, const std::vector<double>& params,
@@ -109,34 +87,20 @@ void StateVector::apply_single_qubit(const cplx m[2][2], int q) {
   // branch-free contiguous pass with a single multiply per amplitude,
   // instead of the paired gather. The skipped terms are exact zeros
   // (m01 * a1 == 0), so this cannot move any |amp| — only the sign of a
-  // zero — and parallel chunks stay bit-identical to serial.
+  // zero.
   if (m01 == cplx(0.0, 0.0) && m10 == cplx(0.0, 0.0)) {
-    run_kernel(use_parallel(), parallel_grain_, mode_align(mode),
-               amps_.size(), [=](std::size_t begin, std::size_t end) {
-                 kernels::sweep_diag(mode, amps, begin, end, q, m00, m11);
-               });
+    kernels::sweep_diag(mode, amps, 0, amps_.size(), q, m00, m11);
     return;
   }
   // Pair index k interleaves (block, offset): i0 is k with a zero bit spliced
-  // in at position q. Every k touches a disjoint {i0, i1} pair, so chunks of
-  // k are race-free and order-independent.
-  const kernels::M2 m2{m00, m01, m10, m11};
-  run_kernel(use_parallel(), parallel_grain_, mode_align(mode),
-             amps_.size() / 2, [=](std::size_t k_begin, std::size_t k_end) {
-               kernels::sweep_1q(mode, amps, k_begin, k_end, q, m2);
-             });
+  // in at position q, so every k touches its own {i0, i1} pair.
+  kernels::sweep_1q(mode, amps, 0, amps_.size() / 2, q,
+                    kernels::M2{m00, m01, m10, m11});
 }
 
 template <typename Kernel>
 void StateVector::run_subspace(const kernels::Subspace& s, Kernel kernel) {
-  cplx* amps = amps_.data();
-  // Every subspace index touches its own one or two amplitudes, so chunks
-  // never collide and parallel output is bit-identical to serial.
-  run_kernel(use_parallel(), parallel_grain_, 1,
-             kernels::subspace_size(amps_.size(), s),
-             [=](std::size_t begin, std::size_t end) {
-               kernel(amps, begin, end, s);
-             });
+  kernel(amps_.data(), 0, kernels::subspace_size(amps_.size(), s), s);
 }
 
 void StateVector::apply_matrix(const cplx m[2][2], int q) {
@@ -153,8 +117,7 @@ void StateVector::apply_gang(const std::vector<SingleQubitOp>& ops) {
                    "apply_gang: qubit out of range");
   }
   // Duplicate check here; the execution plan (sorted qubits, block offsets,
-  // per-op local positions) is built by the kernel layer and shared
-  // read-only by every chunk.
+  // per-op local positions) is built by the kernel layer.
   std::vector<int> sorted(static_cast<std::size_t>(k));
   for (int j = 0; j < k; ++j) sorted[static_cast<std::size_t>(j)] = ops[static_cast<std::size_t>(j)].qubit;
   std::sort(sorted.begin(), sorted.end());
@@ -164,17 +127,8 @@ void StateVector::apply_gang(const std::vector<SingleQubitOp>& ops) {
                    "apply_gang: duplicate qubit");
   }
   const kernels::GangPlan plan = kernels::make_gang_plan(ops.data(), ops.size());
-  const kernels::GangPlan* pplan = &plan;  // outlives the joined parallel_for
-  const kernels::SimdMode mode = kernels::simd_mode();
-  cplx* amps = amps_.data();
-  const std::size_t outer_count = amps_.size() >> k;
-  // Keep the per-chunk byte footprint comparable to the 1q kernel's: each
-  // outer index covers 2^k amplitudes.
-  const std::size_t grain = std::max<std::size_t>(1, parallel_grain_ >> k);
-  run_kernel(use_parallel(), grain, 1, outer_count,
-             [=](std::size_t begin, std::size_t end) {
-               kernels::sweep_gang(mode, amps, begin, end, *pplan);
-             });
+  kernels::sweep_gang(kernels::simd_mode(), amps_.data(), 0, amps_.size() >> k,
+                      plan);
 }
 
 void StateVector::apply_two_qubit(const cplx m[4][4], int a, int b) {
@@ -196,17 +150,11 @@ void StateVector::apply_two_qubit(const cplx m[4][4], int a, int b) {
   int src[4] = {0, 0, 0, 0};
   cplx coef[4];
   if (kernels::monomial_decompose(m4, src, coef)) {
-    run_kernel(use_parallel(), std::max<std::size_t>(1, parallel_grain_ / 4),
-               1, amps_.size() / 4, [=](std::size_t begin, std::size_t end) {
-                 kernels::sweep_2q_monomial(mode, amps, begin, end, a, b, src,
-                                            coef);
-               });
+    kernels::sweep_2q_monomial(mode, amps, 0, amps_.size() / 4, a, b, src,
+                               coef);
     return;
   }
-  run_kernel(use_parallel(), std::max<std::size_t>(1, parallel_grain_ / 4),
-             1, amps_.size() / 4, [=](std::size_t begin, std::size_t end) {
-               kernels::sweep_2q(mode, amps, begin, end, a, b, m4);
-             });
+  kernels::sweep_2q(mode, amps, 0, amps_.size() / 4, a, b, m4);
 }
 
 void StateVector::apply_gate(const qir::Gate& gate) {
@@ -304,14 +252,7 @@ void StateVector::apply_pauli(char pauli, int q) {
 
 std::vector<double> StateVector::probabilities() const {
   std::vector<double> p(amps_.size());
-  double* out = p.data();
-  const cplx* amps = amps_.data();
-  run_kernel(use_parallel(), parallel_grain_, 1, amps_.size(),
-             [=](std::size_t begin, std::size_t end) {
-               for (std::size_t i = begin; i < end; ++i) {
-                 out[i] = std::norm(amps[i]);
-               }
-             });
+  for (std::size_t i = 0; i < amps_.size(); ++i) p[i] = std::norm(amps_[i]);
   return p;
 }
 

@@ -32,12 +32,10 @@ struct SingleQubitOp {
 /// X/CX/CCX/MCX, SWAP and CSWAP are pure swaps, CZ/CP/CRZ and Z scale,
 /// and CY/CH apply their 2x2 on the control subspace.
 ///
-/// Gate kernels run multi-threaded on the global runtime::ThreadPool once
-/// the register reaches `parallel_threshold()` qubits; below that they use
-/// the serial loops. Both paths compute every amplitude with identical
-/// arithmetic (gate application touches each amplitude pair independently,
-/// with no cross-element reductions), so parallel results are bit-identical
-/// to serial ones at any thread count.
+/// Every gate runs on the calling thread as one call over its whole index
+/// range. The library parallelizes across jobs (service::Service) and shots
+/// (runtime::run_chunked in sim::sample), where the evaluation's many small
+/// registers keep every core busy; a single register is never split.
 ///
 /// The sweeps themselves go through the kernel layer
 /// (sim/kernels/kernels.h). The 1q, diagonal, 4x4 and gang sweeps dispatch
@@ -49,14 +47,6 @@ struct SingleQubitOp {
 /// out at 12 qubits (4096 amplitudes), far below any practical limit.
 class StateVector {
  public:
-  /// Registers below this width (in qubits) always use the serial kernels.
-  /// Below 2^16 amplitudes a gate costs less than a trip through the pool:
-  /// issued from a non-worker thread to 4 workers on a 4-core AVX2 host, a
-  /// CX/RY/RZ mix took 21-23 us per gate against 13-18 us serial at 14
-  /// qubits and 45-50 us against 24-28 us at 15; the paths are within 10%
-  /// at 16 qubits, and the pool wins from 17 (78-89 us against 111-118 us).
-  static constexpr int kDefaultParallelThresholdQubits = 16;
-
   /// Widest register: 2^28 amplitudes are 4 GiB.
   static constexpr int kMaxQubits = 28;
 
@@ -88,8 +78,7 @@ class StateVector {
   /// arithmetic relative to the gate-by-gate sweeps, so the result is
   /// tolerance-equal — not bit-identical — to apply_circuit (a plan built
   /// with a fence before every gate degenerates to apply_gate calls and IS
-  /// bit-identical). Serial-vs-parallel execution of the SAME plan is
-  /// bit-identical, like every other kernel here.
+  /// bit-identical). Replaying the SAME plan always gives the same bits.
   ///
   /// When the register is wider than `tile_qubits()`, runs of consecutive
   /// tile-local ops (every qubit below the tile width) execute tile by tile:
@@ -147,23 +136,6 @@ class StateVector {
   /// Renormalizes (guards against drift in long trajectories).
   void normalize();
 
-  /// Overrides the parallel/serial cutoff for this register. 0 forces the
-  /// parallel kernels even on tiny registers (used by the equivalence tests);
-  /// anything above num_qubits() pins the serial path.
-  void set_parallel_threshold(int qubits) { parallel_threshold_ = qubits; }
-  int parallel_threshold() const { return parallel_threshold_; }
-
-  /// Overrides the amplitudes-per-chunk grain of the parallel kernels. The
-  /// default (2^12) also serializes any register whose kernels fit in one
-  /// chunk, so equivalence tests shrink it to force real multi-chunk
-  /// execution on small registers.
-  void set_parallel_grain(std::size_t grain) { parallel_grain_ = grain; }
-  std::size_t parallel_grain() const { return parallel_grain_; }
-
-  /// Default kernel grain: 2^12 complex doubles = 64 KiB per chunk — cache
-  /// friendly while amortizing the scheduling cost.
-  static constexpr std::size_t kDefaultParallelGrain = std::size_t{1} << 12;
-
   /// Overrides the tile width (in qubits) of apply_fused's cache blocking.
   /// Tests shrink it to exercise tiling on small registers; anything at or
   /// above num_qubits() disables tiling. Purely a traversal-order knob —
@@ -176,9 +148,6 @@ class StateVector {
   static constexpr int kDefaultTileQubits = 13;
 
  private:
-  /// True when gate kernels should go through runtime::parallel_for.
-  bool use_parallel() const { return num_qubits_ >= parallel_threshold_; }
-
   void apply_single_qubit(const cplx m[2][2], int q);
 
   /// Applies one fused op (the unit apply_fused iterates) to the full
@@ -195,8 +164,6 @@ class StateVector {
   void apply_tiled_run(const FusedOp* ops, std::size_t count);
 
   int num_qubits_;
-  int parallel_threshold_ = kDefaultParallelThresholdQubits;
-  std::size_t parallel_grain_ = kDefaultParallelGrain;
   int tile_qubits_ = kDefaultTileQubits;
   std::vector<cplx> amps_;
 };

@@ -9,7 +9,6 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "qir/circuit.h"
-#include "runtime/thread_pool.h"
 #include "sim/fusion.h"
 #include "sim/kernels/simd.h"
 #include "sim/statevector.h"
@@ -139,8 +138,8 @@ TEST(SimdDifferential, TargetQubitInsideAndOutsideLaneWidth) {
 }
 
 // The AVX2 kernels use a fixed per-element instruction sequence, so where a
-// chunk boundary falls must not change a single bit — this is what makes
-// parallel AVX2 sweeps bit-identical to serial ones. Split every kernel's
+// range boundary falls must not change a single bit — the region contract
+// that lets a cache tile reuse the whole-vector kernels. Split every kernel's
 // index range at an odd point (vector body on one side, 128-bit tail on the
 // other) and compare against the unsplit sweep.
 TEST(SimdKernels, ChunkSplitIsBitIdentical) {
@@ -390,8 +389,7 @@ long first_mismatch(const std::vector<cplx>& got, const std::vector<cplx>& want)
 
 // Each gate, applied in sequence to one state, must leave every amplitude
 // == the per-pair oracle's (== treats the two zero signs as equal, the one
-// freedom the kernels have), in both SIMD modes, serially and at 1, 2 and 8
-// threads with a ragged grain.
+// freedom the kernels have), in both SIMD modes.
 TEST(SubspaceKernels, MatchOraclePerAmplitude) {
   std::vector<SimdMode> modes = {SimdMode::kScalar};
   if (kernels::avx2_available()) modes.push_back(SimdMode::kAvx2);
@@ -399,25 +397,16 @@ TEST(SubspaceKernels, MatchOraclePerAmplitude) {
     ModeGuard guard;
     kernels::set_simd_mode(mode);
     for (int n : {5, 7, 13}) {
-      const std::vector<qir::Gate> gates = subspace_gates(n);
-      for (unsigned threads : {0u, 1u, 2u, 8u}) {  // 0 = serial kernels
-        runtime::ThreadPool::set_global_threads(threads == 0 ? 1 : threads);
-        StateVector sv = prepared_state(n);
-        if (threads > 0) {
-          sv.set_parallel_threshold(0);
-          sv.set_parallel_grain(3);
-        }
-        std::vector<cplx> want = sv.amplitudes();
-        for (const qir::Gate& g : gates) {
-          sv.apply_gate(g);
-          oracle_apply(want, g, mode);
-          const long bad = first_mismatch(sv.amplitudes(), want);
-          ASSERT_EQ(bad, -1) << kernels::simd_mode_name(mode) << " n=" << n
-                             << " threads=" << threads << " gate=" << g.name()
-                             << " first bad amplitude " << bad;
-        }
+      StateVector sv = prepared_state(n);
+      std::vector<cplx> want = sv.amplitudes();
+      for (const qir::Gate& g : subspace_gates(n)) {
+        sv.apply_gate(g);
+        oracle_apply(want, g, mode);
+        const long bad = first_mismatch(sv.amplitudes(), want);
+        ASSERT_EQ(bad, -1) << kernels::simd_mode_name(mode) << " n=" << n
+                           << " gate=" << g.name() << " first bad amplitude "
+                           << bad;
       }
-      runtime::ThreadPool::set_global_threads(0);
     }
   }
 }
@@ -537,39 +526,6 @@ TEST(Tiling, LonePaulisMatchUntiledToTheBit) {
                           tiled.dim() * sizeof(cplx)),
               0)
         << kernels::simd_mode_name(mode);
-  }
-}
-
-// ------------------------------------------- parallel equivalence per mode
-
-// Within one SIMD mode, 1-, 2- and 8-thread fused sweeps are bit-identical:
-// disjoint chunks, position-independent per-element arithmetic. Ragged
-// grains force chunk boundaries that are not multiples of the tile or
-// vector width.
-TEST(ParallelEquivalence, ThreadCountNeverChangesBits) {
-  std::vector<SimdMode> modes = {SimdMode::kScalar};
-  if (kernels::avx2_available()) modes.push_back(SimdMode::kAvx2);
-  for (SimdMode mode : modes) {
-    ModeGuard guard;
-    kernels::set_simd_mode(mode);
-    auto c = dense_circuit(8, 77);
-    const auto plan = FusionPlan::build(c);
-
-    StateVector serial(8);
-    serial.set_parallel_threshold(9);  // pin serial
-    serial.apply_fused(plan);
-
-    for (unsigned threads : {1u, 2u, 8u}) {
-      runtime::ThreadPool::set_global_threads(threads);
-      StateVector parallel(8);
-      parallel.set_parallel_threshold(0);  // force the parallel kernels
-      parallel.set_parallel_grain(5);      // ragged multi-chunk sweeps
-      parallel.set_tile_qubits(4);         // tiled runs go parallel too
-      parallel.apply_fused(plan);
-      EXPECT_EQ(parallel.max_abs_diff(serial), 0.0)
-          << kernels::simd_mode_name(mode) << " threads=" << threads;
-    }
-    runtime::ThreadPool::set_global_threads(0);
   }
 }
 

@@ -650,9 +650,8 @@ TEST(NetServer, BackendConfigEchoAndValidation) {
 }
 
 TEST(NetServer, ConcurrentClientsGetUniqueIdsAndAnswers) {
-  ServerConfig config;
-  config.connection_threads = 4;  // genuine connection parallelism
-  ServerFixture fx(config);
+  // Four client threads on four connections; the loop serves them all.
+  ServerFixture fx;
   constexpr int kClients = 4;
   constexpr int kPerClient = 3;
   std::vector<std::thread> threads;

@@ -3,15 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <future>
-#include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
-#include "common/rng.h"
 #include "runtime/shard.h"
-#include "sim/statevector.h"
 
 namespace tetris::runtime {
 namespace {
@@ -58,70 +57,28 @@ TEST(ThreadPool, WorkerThreadFlag) {
   EXPECT_TRUE(pool.submit([] { return ThreadPool::on_worker_thread(); }).get());
 }
 
-// -------------------------------------------------------------- parallel_for
-
-TEST(ParallelFor, MatchesSerialLoop) {
-  constexpr std::size_t kCount = 100000;
-  std::vector<double> serial(kCount), parallel(kCount);
-  for (std::size_t i = 0; i < kCount; ++i) {
-    serial[i] = static_cast<double>(i) * 1.5 + 1.0;
+TEST(ThreadPool, DefaultThreadsIgnoresOutOfRangeEnv) {
+  // Only the sizing rule is probed: no pool is built from these values.
+  const char* env = std::getenv("TETRIS_THREADS");
+  const bool had_env = env != nullptr;
+  const std::string saved = had_env ? env : "";
+  ::unsetenv("TETRIS_THREADS");
+  const unsigned hardware = ThreadPool::default_global_threads();
+  EXPECT_GE(hardware, 1u);
+  for (const char* bad : {"0", "-3", "abc", "100000", "1025", "4294967296",
+                          "4294967297", "99999999999999999999"}) {
+    ::setenv("TETRIS_THREADS", bad, 1);
+    EXPECT_EQ(ThreadPool::default_global_threads(), hardware) << bad;
   }
-  ThreadPool pool(4);
-  ParallelForOptions options;
-  options.pool = &pool;
-  options.grain = 1000;
-  parallel_for(
-      0, kCount,
-      [&parallel](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          parallel[i] = static_cast<double>(i) * 1.5 + 1.0;
-        }
-      },
-      options);
-  EXPECT_EQ(parallel, serial);
-}
-
-TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
-  constexpr std::size_t kCount = 54321;  // not a multiple of any grain
-  std::vector<std::atomic<int>> visits(kCount);
-  ThreadPool pool(4);
-  ParallelForOptions options;
-  options.pool = &pool;
-  options.grain = 128;
-  parallel_for(
-      7, kCount,
-      [&visits](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) ++visits[i];
-      },
-      options);
-  for (std::size_t i = 0; i < 7; ++i) EXPECT_EQ(visits[i].load(), 0);
-  for (std::size_t i = 7; i < kCount; ++i) EXPECT_EQ(visits[i].load(), 1);
-}
-
-TEST(ParallelFor, EmptyAndTinyRanges) {
-  int calls = 0;
-  auto count_calls = [&calls](std::size_t, std::size_t) { ++calls; };
-  parallel_for(5, 5, count_calls);
-  EXPECT_EQ(calls, 0);
-  parallel_for(10, 5, count_calls);  // inverted range is a no-op
-  EXPECT_EQ(calls, 0);
-  parallel_for(0, 3, count_calls);  // below grain: single serial call
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(ParallelFor, PropagatesBodyException) {
-  ThreadPool pool(4);
-  ParallelForOptions options;
-  options.pool = &pool;
-  options.grain = 10;
-  EXPECT_THROW(
-      parallel_for(
-          0, 10000,
-          [](std::size_t begin, std::size_t) {
-            if (begin >= 5000) throw InvalidArgument("boom");
-          },
-          options),
-      InvalidArgument);
+  ::setenv("TETRIS_THREADS", "3", 1);
+  EXPECT_EQ(ThreadPool::default_global_threads(), 3u);
+  ::setenv("TETRIS_THREADS", "1024", 1);
+  EXPECT_EQ(ThreadPool::default_global_threads(), ThreadPool::kMaxThreads);
+  if (had_env) {
+    ::setenv("TETRIS_THREADS", saved.c_str(), 1);
+  } else {
+    ::unsetenv("TETRIS_THREADS");
+  }
 }
 
 // --------------------------------------------------------------- run_chunked
@@ -174,97 +131,6 @@ TEST(RunChunked, NestedInsideWorkerDoesNotDeadlock) {
   });
   future.get();
   EXPECT_EQ(total.load(), 16);
-}
-
-TEST(ParallelFor, NestedCallRunsSerially) {
-  // A body that itself calls parallel_for must not deadlock the fixed pool.
-  ThreadPool pool(2);
-  ParallelForOptions options;
-  options.pool = &pool;
-  options.grain = 1;
-  std::atomic<int> total{0};
-  parallel_for(
-      0, 8,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          parallel_for(
-              0, 4,
-              [&total](std::size_t b, std::size_t e) {
-                total += static_cast<int>(e - b);
-              },
-              {1, nullptr});
-        }
-      },
-      options);
-  EXPECT_EQ(total.load(), 8 * 4);
-}
-
-// --------------------------------------------------- statevector equivalence
-
-/// A random circuit mixing every kernel family: single-qubit rotations,
-/// controlled singles, SWAP and Toffoli.
-qir::Circuit random_circuit(int num_qubits, int num_gates, Rng& rng) {
-  qir::Circuit c(num_qubits, "random");
-  for (int g = 0; g < num_gates; ++g) {
-    int q0 = rng.uniform_int(0, num_qubits - 1);
-    int q1 = rng.uniform_int(0, num_qubits - 2);
-    if (q1 >= q0) ++q1;  // distinct second qubit
-    switch (rng.uniform_int(0, 7)) {
-      case 0: c.h(q0); break;
-      case 1: c.t(q0); break;
-      case 2: c.rx(rng.uniform() * 3.1, q0); break;
-      case 3: c.rz(rng.uniform() * 3.1, q0); break;
-      case 4: c.cx(q0, q1); break;
-      case 5: c.swap(q0, q1); break;
-      case 6: c.add(qir::make_cp(rng.uniform() * 3.1, q0, q1)); break;
-      default: {
-        int q2 = rng.uniform_int(0, num_qubits - 1);
-        if (q2 == q0 || q2 == q1) {
-          c.cx(q0, q1);
-        } else {
-          c.add(qir::make_ccx(q0, q1, q2));
-        }
-        break;
-      }
-    }
-  }
-  return c;
-}
-
-TEST(StateVectorParallel, BitIdenticalToSerialOnRandomCircuits) {
-  // Force genuine multi-chunk, multi-worker execution: with the default
-  // grain (2^12) an 8-12 qubit register fits in one chunk and parallel_for
-  // would quietly serialize, and on a 1-core box the default global pool has
-  // a single worker. Shrink the grain and widen the pool so the parallel
-  // path really runs chunked across threads.
-  ThreadPool::set_global_threads(4);
-  Rng rng(99);
-  for (int trial = 0; trial < 6; ++trial) {
-    const int num_qubits = 8 + (trial % 5);  // 8..12
-    auto circuit = random_circuit(num_qubits, 60, rng);
-
-    sim::StateVector serial(num_qubits);
-    serial.set_parallel_threshold(num_qubits + 1);  // pin serial kernels
-    serial.apply_circuit(circuit);
-
-    sim::StateVector parallel(num_qubits);
-    parallel.set_parallel_threshold(0);  // force parallel kernels
-    parallel.set_parallel_grain(64);     // many chunks even at 8 qubits
-    parallel.apply_circuit(circuit);
-
-    // Exact equality, not a tolerance: the parallel kernels perform the same
-    // arithmetic per amplitude, only partitioned differently.
-    EXPECT_EQ(parallel.max_abs_diff(serial), 0.0)
-        << "trial " << trial << " on " << num_qubits << " qubits";
-    EXPECT_EQ(parallel.probabilities(), serial.probabilities());
-  }
-  ThreadPool::set_global_threads(0);  // restore default sizing
-}
-
-TEST(StateVectorParallel, ThresholdDefaultsKeepSmallRegistersSerial) {
-  sim::StateVector sv(4);
-  EXPECT_EQ(sv.parallel_threshold(),
-            sim::StateVector::kDefaultParallelThresholdQubits);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "runtime/thread_pool.h"
 #include "sim/fusion.h"
 
 namespace tetris::sim {
@@ -338,23 +337,6 @@ TEST(ApplyTwoQubit, ProductMatrixEqualsTwoGateDecomposition) {
   stepwise.apply_gate(qir::make_cz(a, b));
   stepwise.apply_gate(qir::make_h(b));
   EXPECT_LT(fused.max_abs_diff(stepwise), 1e-12);
-}
-
-TEST(ApplyTwoQubit, ParallelMatchesSerialAboveThreshold) {
-  cplx m[4][4];
-  two_qubit_matrix(qir::make_cx(6, 2), 6, 2, m);
-
-  StateVector serial = scrambled_state(9, 33);
-  serial.set_parallel_threshold(10);  // pin serial
-  StateVector parallel = scrambled_state(9, 33);
-  runtime::ThreadPool::set_global_threads(4);
-  parallel.set_parallel_threshold(0);  // force parallel kernels
-  parallel.set_parallel_grain(8);      // force real multi-chunk sweeps
-
-  serial.apply_two_qubit(m, 6, 2);
-  parallel.apply_two_qubit(m, 6, 2);
-  EXPECT_EQ(parallel.max_abs_diff(serial), 0.0);  // bit-identical
-  runtime::ThreadPool::set_global_threads(0);
 }
 
 TEST(ApplyTwoQubit, ValidatesItsArguments) {

@@ -83,9 +83,9 @@
 //              `fetch --out f.tla` + `cmp f.tla STORE/<key>.tla` is the
 //              end-to-end integrity check CI runs.
 //
-// Every subcommand additionally accepts --jobs N, which sizes the shared
-// worker pool used by the service and the parallel statevector kernels
-// (default: TETRIS_THREADS env var, then hardware concurrency). Unknown
+// Every subcommand additionally accepts --jobs N (1..1024), which sizes the
+// shared worker pool used by the service and the sampler (default:
+// TETRIS_THREADS env var, then hardware concurrency). Unknown
 // flags and non-integer values for integer flags are rejected with a
 // per-subcommand error instead of being silently ignored.
 //
@@ -151,11 +151,12 @@ struct Options {
     return it == values.end() ? fallback : it->second;
   }
   /// Integer flag value, validated: non-numeric text, trailing junk,
-  /// overflow, and values below `min_value` all become an InvalidArgument
-  /// naming the flag (values like `--shots -1` would otherwise wrap to a
-  /// huge std::size_t at the use site).
+  /// overflow, and values outside [min_value, max_value] all become an
+  /// InvalidArgument naming the flag (values like `--shots -1` would
+  /// otherwise wrap to a huge std::size_t at the use site).
   long get_long(const std::string& key, long fallback,
-                long min_value = std::numeric_limits<long>::min()) const {
+                long min_value = std::numeric_limits<long>::min(),
+                long max_value = std::numeric_limits<long>::max()) const {
     auto it = values.find(key);
     if (it == values.end()) return fallback;
     long v = 0;
@@ -172,6 +173,11 @@ struct Options {
     if (v < min_value) {
       throw InvalidArgument("--" + key + " must be >= " +
                             std::to_string(min_value) + ", got " +
+                            std::to_string(v));
+    }
+    if (v > max_value) {
+      throw InvalidArgument("--" + key + " must be <= " +
+                            std::to_string(max_value) + ", got " +
                             std::to_string(v));
     }
     return v;
@@ -608,10 +614,6 @@ extern "C" void serve_stop_handler(int) {
 int cmd_serve(const Options& o) {
   service::ServiceConfig scfg;
   scfg.base_seed = 2025;  // unused: every HTTP submission carries its seed
-  // A private job pool: connection tasks run on the shared runtime pool, so
-  // a Service sharing that pool would execute POSTed jobs inline in the
-  // handler (worker-thread submissions run inline by design) and submission
-  // would stop being asynchronous.
   scfg.num_threads = static_cast<unsigned>(
       o.has("jobs") ? o.get_long("jobs", 0, 1)
                     : runtime::ThreadPool::default_global_threads());
@@ -940,10 +942,11 @@ int main(int argc, char** argv) {
     const std::set<std::string>* allowed = allowed_flags(cmd);
     if (allowed == nullptr) return usage();
     Options o = parse(argc, argv, 2, cmd, *allowed);
+    // --jobs is range-checked once, here, before any pool is built: serve
+    // and dispatch size their private pools from the same value.
     if (o.has("jobs")) {
-      long jobs = o.get_long("jobs", 0);
-      if (jobs <= 0) throw InvalidArgument("--jobs must be a positive integer");
-      runtime::ThreadPool::set_global_threads(static_cast<unsigned>(jobs));
+      runtime::ThreadPool::set_global_threads(static_cast<unsigned>(
+          o.get_long("jobs", 0, 1, runtime::ThreadPool::kMaxThreads)));
     }
     if (cmd == "info") return cmd_info(o);
     if (cmd == "obfuscate") return cmd_obfuscate(o);
