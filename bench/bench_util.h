@@ -17,8 +17,8 @@ namespace tetris::benchutil {
 ///   --iterations N   (default 20, the paper's averaging count)
 ///   --shots N        (default 1000, the paper's shot count)
 ///   --seed N         (default 2025)
-///   --threads A,B,C  (worker-pool widths for throughput sweeps; default
-///                     empty, each bench picks its own)
+///   --threads A,B,C  (worker-pool widths for throughput sweeps; only for
+///                     harnesses that sweep them, default empty)
 ///   --out PATH       (where JSON-emitting benches write their result)
 struct Args {
   int iterations = 20;
@@ -32,7 +32,10 @@ struct Args {
   std::string out;
 };
 
-inline Args parse_args(int argc, char** argv) {
+/// Parses the knobs above. A harness that sweeps no pool widths passes
+/// `takes_threads = false`, and --threads then exits 2 naming the flag
+/// instead of being ignored.
+inline Args parse_args(int argc, char** argv, bool takes_threads = false) {
   Args args;
   for (int i = 1; i < argc; ++i) {
     std::string flag = argv[i];
@@ -51,6 +54,10 @@ inline Args parse_args(int argc, char** argv) {
       args.shots = static_cast<std::size_t>(next());
     } else if (flag == "--seed") {
       args.seed = static_cast<std::uint64_t>(next());
+    } else if (flag == "--threads" && !takes_threads) {
+      std::cerr << argv[0] << " sweeps no pool widths: --threads is not a flag "
+                   "of this harness\n";
+      std::exit(2);
     } else if (flag == "--threads") {
       for (const std::string& part : split_char(next_str(), ',')) {
         long n = std::strtol(part.c_str(), nullptr, 10);
@@ -64,7 +71,8 @@ inline Args parse_args(int argc, char** argv) {
       args.out = next_str();
     } else if (flag == "--help" || flag == "-h") {
       std::cout << "flags: --iterations N  --shots N  --seed N  "
-                   "--threads A,B,C  --out PATH\n";
+                << (takes_threads ? "--threads A,B,C  " : "")
+                << "--out PATH\n";
       std::exit(0);
     } else {
       std::cerr << "unknown flag " << flag << "\n";

@@ -74,7 +74,7 @@ std::string submit_body(std::uint64_t seed, std::size_t shots) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchutil::Args args = benchutil::parse_args(argc, argv);
+  benchutil::Args args = benchutil::parse_args(argc, argv, true);
   if (!args.iterations_set) args.iterations = 100;  // bench-specific default
   std::vector<unsigned> connection_counts =
       args.threads.empty() ? std::vector<unsigned>{1, 2, 4, 8} : args.threads;

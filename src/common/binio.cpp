@@ -57,6 +57,21 @@ ByteWriter& ByteWriter::str(std::string_view s) {
   return *this;
 }
 
+ByteWriter& ByteWriter::var(std::uint64_t v) {
+  while (v >= 0x80) {
+    out_.push_back(static_cast<char>((v & 0x7f) | 0x80));
+    v >>= 7;
+  }
+  out_.push_back(static_cast<char>(v));
+  return *this;
+}
+
+ByteWriter& ByteWriter::var_str(std::string_view s) {
+  var(s.size());
+  out_.append(s.data(), s.size());
+  return *this;
+}
+
 ByteWriter& ByteWriter::raw(const void* data, std::size_t size) {
   out_.append(static_cast<const char*>(data), size);
   return *this;
@@ -99,18 +114,55 @@ double ByteReader::f64(const char* what) {
   return v;
 }
 
-std::string ByteReader::str(const char* what, std::size_t max_bytes) {
-  std::uint32_t size = u32(what);
-  if (size > max_bytes) {
-    throw ParseError("binio: " + std::string(what) + " length " +
-                     std::to_string(size) + " exceeds limit " +
-                     std::to_string(max_bytes) + " at offset " +
-                     std::to_string(pos_ - 4));
-  }
-  require(size, what);
-  std::string s(data_.substr(pos_, size));
-  pos_ += size;
+void ByteReader::over_limit(const char* what, std::uint64_t n,
+                            std::uint64_t limit, std::size_t start) const {
+  throw ParseError("binio: " + std::string(what) + " " + std::to_string(n) +
+                   " exceeds limit " + std::to_string(limit) + " at offset " +
+                   std::to_string(start));
+}
+
+std::string ByteReader::take(std::uint64_t size, const char* what) {
+  require(static_cast<std::size_t>(size), what);
+  std::string s(data_.substr(pos_, static_cast<std::size_t>(size)));
+  pos_ += static_cast<std::size_t>(size);
   return s;
+}
+
+std::string ByteReader::str(const char* what, std::size_t max_bytes) {
+  const std::size_t start = pos_;
+  const std::uint32_t size = u32(what);
+  if (size > max_bytes) over_limit(what, size, max_bytes, start);
+  return take(size, what);
+}
+
+std::uint64_t ByteReader::var(const char* what) {
+  const std::size_t start = pos_;
+  std::uint64_t v = 0;
+  for (int shift = 0;; shift += 7) {
+    require(1, what);
+    const auto byte = static_cast<unsigned char>(data_[pos_++]);
+    // The tenth byte holds bit 63 alone.
+    if (shift == 63 && byte > 1) {
+      throw ParseError("binio: " + std::string(what) +
+                       " varint overflows 64 bits at offset " +
+                       std::to_string(start));
+    }
+    v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) {
+      if (byte == 0 && shift > 0) {
+        throw ParseError("binio: " + std::string(what) +
+                         " overlong varint at offset " + std::to_string(start));
+      }
+      return v;
+    }
+  }
+}
+
+std::string ByteReader::var_str(const char* what, std::size_t max_bytes) {
+  const std::size_t start = pos_;
+  const std::uint64_t size = var(what);
+  if (size > max_bytes) over_limit(what, size, max_bytes, start);
+  return take(size, what);
 }
 
 std::string_view ByteReader::raw(std::size_t size, const char* what) {
@@ -121,13 +173,18 @@ std::string_view ByteReader::raw(std::size_t size, const char* what) {
 }
 
 std::uint32_t ByteReader::count(const char* what, std::uint32_t max_count) {
-  std::uint32_t n = u32(what);
-  if (n > max_count) {
-    throw ParseError("binio: " + std::string(what) + " " + std::to_string(n) +
-                     " exceeds limit " + std::to_string(max_count) +
-                     " at offset " + std::to_string(pos_ - 4));
-  }
+  const std::size_t start = pos_;
+  const std::uint32_t n = u32(what);
+  if (n > max_count) over_limit(what, n, max_count, start);
   return n;
+}
+
+std::uint32_t ByteReader::var_count(const char* what,
+                                    std::uint32_t max_count) {
+  const std::size_t start = pos_;
+  const std::uint64_t n = var(what);
+  if (n > max_count) over_limit(what, n, max_count, start);
+  return static_cast<std::uint32_t>(n);
 }
 
 void ByteReader::expect_end(const char* what) const {

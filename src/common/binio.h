@@ -12,14 +12,16 @@ namespace tetris {
 /// Binary serialization primitives — the `fread`/`fwrite` layer every stored
 /// artifact goes through (docs/FORMATS.md is the normative spec).
 ///
-/// The encoding is deliberately boring: little-endian fixed-width integers,
-/// IEEE-754 doubles by exact bit pattern, and length-prefixed byte strings.
-/// Fixed widths (no varints) keep every field's offset computable from the
-/// spec alone, and bit-pattern doubles make encoding lossless and
-/// deterministic — bit-identical values serialize to byte-identical output,
-/// which is what lets the disk cache and the artifact endpoint promise
-/// byte-stable artifacts (see the determinism contract in
-/// docs/ARCHITECTURE.md).
+/// The encoding is deliberately boring: little-endian fixed-width integers
+/// or LEB128 varints, IEEE-754 doubles by exact bit pattern, and
+/// length-prefixed byte strings. The fixed widths frame the artifact
+/// envelope and format-1 payloads; format-2 payloads write their integers
+/// as varints, since nearly all of them (qubits, counts, layouts) fit one
+/// byte. Every value has exactly one encoding — the reader rejects overlong
+/// varints — and bit-pattern doubles make encoding lossless, so
+/// bit-identical values serialize to byte-identical output, which is what
+/// lets the disk cache and the artifact endpoint promise byte-stable
+/// artifacts (see the determinism contract in docs/ARCHITECTURE.md).
 ///
 /// The writer is append-only and infallible; all validation lives in the
 /// reader, because stored bytes are untrusted input (a truncated download, a
@@ -45,6 +47,17 @@ class ByteWriter {
   ByteWriter& f64(double v);
   /// u32 byte length + raw bytes (no terminator).
   ByteWriter& str(std::string_view s);
+  /// Unsigned LEB128: seven bits per byte, lowest first, the high bit set
+  /// on every byte but the last; 1 to 10 bytes.
+  ByteWriter& var(std::uint64_t v);
+  /// Zigzag-mapped var (0, -1, 1, -2, ... as 0, 1, 2, 3, ...), so small
+  /// negative values stay one byte.
+  ByteWriter& zigzag(std::int64_t v) {
+    return var((static_cast<std::uint64_t>(v) << 1) ^
+               static_cast<std::uint64_t>(v >> 63));
+  }
+  /// var byte length + raw bytes.
+  ByteWriter& var_str(std::string_view s);
   /// Raw bytes, no length prefix (for magic tags).
   ByteWriter& raw(const void* data, std::size_t size);
   /// Sizes the buffer for `total` bytes up front, so a writer whose final
@@ -86,6 +99,16 @@ class ByteReader {
   /// Length-prefixed string; rejects lengths above `max_bytes` (a corrupt
   /// length prefix must not become a multi-gigabyte allocation).
   std::string str(const char* what, std::size_t max_bytes);
+  /// LEB128 value (ByteWriter::var). Rejects an encoding that runs past the
+  /// buffer, one longer than the value needs (a final 0x00 byte after a
+  /// continuation), and one whose value exceeds 64 bits.
+  std::uint64_t var(const char* what);
+  std::int64_t zigzag(const char* what) {
+    const std::uint64_t u = var(what);
+    return static_cast<std::int64_t>((u >> 1) ^ (~(u & 1) + 1));
+  }
+  /// var-prefixed string, with str's limit.
+  std::string var_str(const char* what, std::size_t max_bytes);
   /// Raw view of the next `size` bytes (bounds-checked, no copy).
   std::string_view raw(std::size_t size, const char* what);
 
@@ -93,6 +116,8 @@ class ByteReader {
   /// The limit check happens *before* any allocation or element loop, so an
   /// adversarial count can cost at most one exception.
   std::uint32_t count(const char* what, std::uint32_t max_count);
+  /// var element count, with count's limit check.
+  std::uint32_t var_count(const char* what, std::uint32_t max_count);
 
   std::size_t offset() const { return pos_; }
   std::size_t remaining() const { return data_.size() - pos_; }
@@ -104,6 +129,11 @@ class ByteReader {
 
  private:
   void require(std::size_t need, const char* what) const;
+  /// Throws the over-limit error for a count or length read from `start`.
+  [[noreturn]] void over_limit(const char* what, std::uint64_t n,
+                               std::uint64_t limit, std::size_t start) const;
+  /// Reads `size` bytes into a string (after the limit check).
+  std::string take(std::uint64_t size, const char* what);
 
   std::string_view data_;
   std::size_t pos_ = 0;

@@ -12,6 +12,7 @@
 #include "common/error.h"
 #include "common/hash.h"
 #include "lock/serialize.h"
+#include "qir/binary.h"
 #include "service/service.h"
 
 namespace tetris::service {
@@ -24,6 +25,10 @@ namespace {
 /// produce comes near this (the circuit codec alone caps out far below), and
 /// a reader must not allocate gigabytes on the say-so of eight corrupt bytes.
 constexpr std::uint64_t kMaxPayloadBytes = 1ull << 32;
+
+// The envelope version is the payload's record format (§8 of FORMATS.md).
+static_assert(kArtifactVersion == qir::kCircuitFormat,
+              "a new record format needs a new artifact version");
 
 /// FNV-1a over raw bytes — the artifact checksum. Deliberately the same
 /// per-byte mix as tetris::Fnv64 (common/hash.h) so docs/FORMATS.md has one
@@ -164,6 +169,7 @@ Artifact decode_artifact(std::string_view bytes) {
   }
 
   Artifact artifact;
+  artifact.version = version;
   artifact.key.circuit_hash = r.u64("artifact circuit_hash");
   artifact.key.seed = r.u64("artifact seed");
   artifact.key.fingerprint = r.u64("artifact fingerprint");
@@ -180,7 +186,7 @@ Artifact decode_artifact(std::string_view bytes) {
   }
   ByteReader payload(r.raw(static_cast<std::size_t>(payload_size),
                            "artifact payload"));
-  artifact.result = lock::read_flow_result(payload);
+  artifact.result = lock::read_flow_result(payload, version);
   payload.expect_end("artifact payload");
   return artifact;
 }

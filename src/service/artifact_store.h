@@ -44,22 +44,25 @@ ArtifactKey artifact_key(const lock::FlowJob& job, std::uint64_t seed);
 /// Envelope constants (docs/FORMATS.md §2). The magic makes an artifact file
 /// self-identifying; the version gates the reader: files carrying a higher
 /// version than kArtifactVersion are rejected as from-the-future, never
-/// half-parsed.
+/// half-parsed, and every lower version still decodes. The version is the
+/// payload's record format (lock/serialize.h).
 inline constexpr char kArtifactMagic[4] = {'T', 'L', 'A', 'F'};
-inline constexpr std::uint32_t kArtifactVersion = 1;
+inline constexpr std::uint32_t kArtifactVersion = 2;
 inline constexpr const char* kArtifactExtension = ".tla";
 /// Fixed envelope size around the payload: 4 magic + 4 version + 24 key +
 /// 8 payload length before it, 8 checksum after it.
 inline constexpr std::size_t kArtifactHeaderBytes = 40;
 inline constexpr std::size_t kArtifactTrailerBytes = 8;
 
-/// One decoded artifact: the provenance key and the full flow result.
+/// One decoded artifact: its format version, the provenance key and the
+/// full flow result.
 struct Artifact {
+  std::uint32_t version = kArtifactVersion;
   ArtifactKey key;
   lock::FlowResult result;
 };
 
-/// Serializes (key, result) into the versioned envelope:
+/// Serializes (key, result) into the version-kArtifactVersion envelope:
 /// magic, version, key triple, payload length, FlowResult payload
 /// (lock/serialize.h), and a trailing FNV-1a checksum over every preceding
 /// byte. Deterministic: bit-identical results produce byte-identical
@@ -68,10 +71,11 @@ struct Artifact {
 std::string encode_artifact(const ArtifactKey& key,
                             const lock::FlowResult& result);
 
-/// Parses and fully validates an artifact: magic, supported version, length
-/// consistency, checksum (verified *before* the payload is parsed — any
-/// single corrupted byte anywhere in the file is caught here), then the
-/// payload itself through the bounded readers. Throws tetris::ParseError
+/// Parses and fully validates an artifact of any version up to
+/// kArtifactVersion: magic, supported version, length consistency, checksum
+/// (verified *before* the payload is parsed — any single corrupted byte
+/// anywhere in the file is caught here), then the payload itself through
+/// the bounded readers, in the version's record format. Throws tetris::ParseError
 /// with a structured message on any violation; never crashes on arbitrary
 /// bytes (fuzzed under ASan/UBSan in tests/test_artifact.cpp).
 Artifact decode_artifact(std::string_view bytes);

@@ -308,8 +308,9 @@ class Service {
     /// the job's key), shared with the cache and immutable once the record
     /// is terminal. Records are never dropped, so they keep these bytes
     /// rather than a live FlowResult, and the trace below packed rather
-    /// than as spans: a done 4mod5 job retains about 6.7 KB in all, against
-    /// 10.3 KB with its inputs and spans and ~42 KB with a FlowResult. Each
+    /// than as spans: a done 4mod5 job retains about 2.6 KB in all (6.9 KB
+    /// with format-1 artifacts), against 10.3 KB with its inputs and spans
+    /// and ~42 KB with a FlowResult. Each
     /// outcome decodes both outside the service mutex.
     std::shared_ptr<const std::string> artifact;
     /// Stage trace recorded by execute(), packed into one exact-size byte

@@ -367,6 +367,7 @@ void StateVector::apply_fused_op(const FusedOp& op) {
 void StateVector::apply_fused(const FusionPlan& plan) {
   TETRIS_REQUIRE(plan.num_qubits() <= num_qubits_,
                  "apply_fused: plan wider than register");
+  densify();
   const auto& ops = plan.ops();
   // Cache blocking pays once the register outgrows a tile; a run needs at
   // least two tile-local ops before the reordered traversal saves a pass.

@@ -66,30 +66,124 @@ StateVector::StateVector(int num_qubits) : num_qubits_(num_qubits) {
                      " qubits");
   amps_.assign(std::size_t{1} << num_qubits, cplx(0.0, 0.0));
   amps_[0] = 1.0;
+  sparse_ = (amps_.size() >> kSparseShift) >= 1;
+  if (sparse_) support_.assign(1, 0);
 }
 
-void StateVector::reset() {
-  std::fill(amps_.begin(), amps_.end(), cplx(0.0, 0.0));
-  amps_[0] = 1.0;
+StateVector& StateVector::operator=(const StateVector& other) {
+  if (this == &other) return *this;
+  if (!sparse_ || !other.sparse_ || amps_.size() != other.amps_.size()) {
+    num_qubits_ = other.num_qubits_;
+    tile_qubits_ = other.tile_qubits_;
+    amps_ = other.amps_;
+    support_ = other.support_;
+    sparse_ = other.sparse_;
+    return *this;
+  }
+  // Both registers are zero off their supports.
+  for (std::size_t i : support_) amps_[i] = cplx(0.0, 0.0);
+  for (std::size_t i : other.support_) amps_[i] = other.amps_[i];
+  support_ = other.support_;
+  tile_qubits_ = other.tile_qubits_;
+  return *this;
 }
+
+void StateVector::to_basis(std::size_t index) {
+  if (sparse_) {
+    for (std::size_t i : support_) amps_[i] = cplx(0.0, 0.0);
+  } else {
+    std::fill(amps_.begin(), amps_.end(), cplx(0.0, 0.0));
+    sparse_ = (amps_.size() >> kSparseShift) >= 1;
+  }
+  amps_[index] = 1.0;
+  if (sparse_) support_.assign(1, index);
+}
+
+void StateVector::reset() { to_basis(0); }
 
 void StateVector::set_basis_state(std::size_t index) {
   TETRIS_REQUIRE(index < amps_.size(), "set_basis_state: index out of range");
-  std::fill(amps_.begin(), amps_.end(), cplx(0.0, 0.0));
-  amps_[index] = 1.0;
+  to_basis(index);
 }
+
+template <typename PairOp>
+void StateVector::sparse_pairs(const kernels::Subspace& s, PairOp pair) {
+  const cplx zero(0.0, 0.0);
+  // Split the support into the entries the kernel would not visit, kept
+  // in place, and the bases i0 of the pairs it would. An entry that is the
+  // partner i1 of a base defers to that base when the base is in the
+  // support too (nonzero), so each pair runs once.
+  std::size_t kept = 0;
+  for (const std::size_t i : support_) {
+    if ((i & s.spliced) == s.set) {
+      pairs_.push_back(i);
+    } else if (((i ^ s.flip) & s.spliced) == s.set) {
+      if (amps_[i ^ s.flip] == zero) pairs_.push_back(i ^ s.flip);
+    } else {
+      support_[kept++] = i;
+    }
+  }
+  support_.resize(kept);
+  for (const std::size_t i0 : pairs_) {
+    const std::size_t i1 = i0 ^ s.flip;
+    pair(amps_[i0], amps_[i1]);
+    if (amps_[i0] != zero) support_.push_back(i0);
+    if (i1 != i0 && amps_[i1] != zero) support_.push_back(i1);
+  }
+  pairs_.clear();
+  if (support_.size() > (amps_.size() >> kSparseShift)) densify();
+}
+
+namespace {
+
+// The per-pair arithmetic of the subspace kernels (kernels_scalar.cpp),
+// for the sparse path: the same expressions, so the same bits.
+void swap_pair(cplx& a0, cplx& a1) { std::swap(a0, a1); }
+
+void pauli_y_pair(cplx& a0, cplx& a1) {
+  const cplx x0 = a0;
+  a0 = cplx(0.0, -1.0) * a1;
+  a1 = cplx(0.0, 1.0) * x0;
+}
+
+auto scale_pair(cplx c) {
+  return [c](cplx& a0, cplx&) { a0 *= c; };
+}
+
+auto matrix_pair(const kernels::M2& m) {
+  return [m](cplx& a0, cplx& a1) {
+    const cplx x0 = a0;
+    const cplx x1 = a1;
+    a0 = m.m00 * x0 + m.m01 * x1;
+    a1 = m.m10 * x0 + m.m11 * x1;
+  };
+}
+
+}  // namespace
 
 void StateVector::apply_single_qubit(const cplx m[2][2], int q) {
   cplx* amps = amps_.data();
   const kernels::SimdMode mode = kernels::simd_mode();
   const cplx m00 = m[0][0], m01 = m[0][1], m10 = m[1][0], m11 = m[1][1];
+  const std::size_t bit = std::size_t{1} << q;
   // Diagonal fast path (Z/S/T/RZ/P and fused products of them): one
   // branch-free contiguous pass with a single multiply per amplitude,
   // instead of the paired gather. The skipped terms are exact zeros
   // (m01 * a1 == 0), so this cannot move any |amp| — only the sign of a
   // zero.
   if (m01 == cplx(0.0, 0.0) && m10 == cplx(0.0, 0.0)) {
+    if (sparse_) {
+      sparse_pairs({bit, 0, bit}, [m00, m11](cplx& a0, cplx& a1) {
+        a0 *= m00;
+        a1 *= m11;
+      });
+      return;
+    }
     kernels::sweep_diag(mode, amps, 0, amps_.size(), q, m00, m11);
+    return;
+  }
+  if (sparse_) {
+    sparse_pairs({bit, 0, bit}, matrix_pair({m00, m01, m10, m11}));
     return;
   }
   // Pair index k interleaves (block, offset): i0 is k with a zero bit spliced
@@ -98,17 +192,24 @@ void StateVector::apply_single_qubit(const cplx m[2][2], int q) {
                     kernels::M2{m00, m01, m10, m11});
 }
 
-template <typename Kernel>
-void StateVector::run_subspace(const kernels::Subspace& s, Kernel kernel) {
+template <typename Kernel, typename PairOp>
+void StateVector::run_subspace(const kernels::Subspace& s, Kernel kernel,
+                               PairOp pair) {
+  if (sparse_) {
+    sparse_pairs(s, pair);
+    return;
+  }
   kernel(amps_.data(), 0, kernels::subspace_size(amps_.size(), s), s);
 }
 
 void StateVector::apply_matrix(const cplx m[2][2], int q) {
   TETRIS_REQUIRE(q >= 0 && q < num_qubits_, "apply_matrix: qubit out of range");
+  densify();
   apply_single_qubit(m, q);
 }
 
 void StateVector::apply_gang(const std::vector<SingleQubitOp>& ops) {
+  densify();
   if (ops.empty()) return;
   const int k = static_cast<int>(ops.size());
   TETRIS_REQUIRE(k <= kMaxGangQubits, "apply_gang: too many gang qubits");
@@ -135,6 +236,7 @@ void StateVector::apply_two_qubit(const cplx m[4][4], int a, int b) {
   TETRIS_REQUIRE(a >= 0 && a < num_qubits_ && b >= 0 && b < num_qubits_,
                  "apply_two_qubit: qubit out of range");
   TETRIS_REQUIRE(a != b, "apply_two_qubit: qubits must be distinct");
+  densify();
   kernels::M4 m4;
   for (int r = 0; r < 4; ++r) {
     for (int c = 0; c < 4; ++c) m4.v[r * 4 + c] = m[r][c];
@@ -178,7 +280,7 @@ void StateVector::apply_gate(const qir::Gate& gate) {
     case GateKind::CX:
     case GateKind::CCX:
     case GateKind::MCX:
-      run_subspace({wires, controls, last}, kernels::sweep_swap);
+      run_subspace({wires, controls, last}, kernels::sweep_swap, swap_pair);
       return;
     case GateKind::SWAP:
     case GateKind::CSWAP: {
@@ -186,7 +288,8 @@ void StateVector::apply_gate(const qir::Gate& gate) {
       // the partner with b set and a clear.
       const std::size_t a =
           std::size_t{1} << gate.qubits[gate.qubits.size() - 2];
-      run_subspace({wires, controls, a | last}, kernels::sweep_swap);
+      run_subspace({wires, controls, a | last}, kernels::sweep_swap,
+                   swap_pair);
       return;
     }
     case GateKind::X: apply_pauli('X', gate.qubits[0]); return;
@@ -202,10 +305,12 @@ void StateVector::apply_gate(const qir::Gate& gate) {
                                                       : GateKind::RZ,
                           gate.params, m);
       const auto scale = [this](const kernels::Subspace& s, cplx c) {
-        run_subspace(s, [c](cplx* amps, std::size_t begin, std::size_t end,
-                            const kernels::Subspace& sub) {
-          kernels::sweep_scale(amps, begin, end, sub, c);
-        });
+        run_subspace(s,
+                     [c](cplx* amps, std::size_t begin, std::size_t end,
+                         const kernels::Subspace& sub) {
+                       kernels::sweep_scale(amps, begin, end, sub, c);
+                     },
+                     scale_pair(c));
       };
       if (m[0][0] != cplx(1.0, 0.0)) scale({wires, controls, 0}, m[0][0]);
       scale({wires, wires, 0}, m[1][1]);
@@ -220,7 +325,8 @@ void StateVector::apply_gate(const qir::Gate& gate) {
                    [&m2](cplx* amps, std::size_t begin, std::size_t end,
                          const kernels::Subspace& s) {
                      kernels::sweep_controlled_1q(amps, begin, end, s, m2);
-                   });
+                   },
+                   matrix_pair(m2));
       return;
     }
     default:
@@ -243,11 +349,13 @@ void StateVector::apply_pauli(char pauli, int q) {
     throw InvalidArgument(std::string("apply_pauli: bad Pauli '") + pauli + "'");
   }
   const std::size_t bit = std::size_t{1} << q;
-  run_subspace({bit, 0, bit}, [pauli, q](cplx* amps, std::size_t begin,
-                                         std::size_t end,
-                                         const kernels::Subspace&) {
-    kernels::sweep_pauli(pauli, amps, begin, end, q);
-  });
+  if (sparse_) {
+    if (pauli == 'X') sparse_pairs({bit, 0, bit}, swap_pair);
+    if (pauli == 'Y') sparse_pairs({bit, 0, bit}, pauli_y_pair);
+    if (pauli == 'Z') sparse_pairs({bit, bit, 0}, scale_pair(cplx(-1.0, 0.0)));
+    return;
+  }
+  kernels::sweep_pauli(pauli, amps_.data(), 0, amps_.size() / 2, q);
 }
 
 std::vector<double> StateVector::probabilities() const {
@@ -259,6 +367,17 @@ std::vector<double> StateVector::probabilities() const {
 std::size_t StateVector::sample(Rng& rng) const {
   double r = rng.uniform();
   double acc = 0.0;
+  if (sparse_) {
+    // The dense scan's sum in its order: the zeros it adds change nothing.
+    // Sorted in a copy, since shard workers may share this register.
+    std::vector<std::size_t> order(support_);
+    std::sort(order.begin(), order.end());
+    for (std::size_t i : order) {
+      acc += std::norm(amps_[i]);
+      if (r < acc) return i;
+    }
+    return amps_.size() - 1;
+  }
   for (std::size_t i = 0; i < amps_.size(); ++i) {
     acc += std::norm(amps_[i]);
     if (r < acc) return i;
@@ -289,6 +408,7 @@ double StateVector::max_abs_diff(const StateVector& other) const {
 }
 
 void StateVector::normalize() {
+  densify();
   double norm2 = 0.0;
   for (const cplx& a : amps_) norm2 += std::norm(a);
   TETRIS_REQUIRE(norm2 > 0.0, "normalize: zero state");

@@ -32,6 +32,20 @@ struct SingleQubitOp {
 /// X/CX/CCX/MCX, SWAP and CSWAP are pure swaps, CZ/CP/CRZ and Z scale,
 /// and CY/CH apply their 2x2 on the control subspace.
 ///
+/// **Support tracking.** From construction, `reset` and `set_basis_state`
+/// the register also keeps the indices of its nonzero amplitudes (its
+/// support) while they number at most 2^(n - kSparseShift), and
+/// `apply_gate`/`apply_pauli` then touch only those entries: permutations
+/// move them, diagonals scale them, and a 2x2 pairs each entry with its
+/// partner through the dense kernels' own `m00 * a0 + m01 * a1` and their
+/// diagonal test. Every amplitude therefore equals the dense run's up to the
+/// sign of a zero, and `sample` sums the support's norms in index order, so
+/// it draws the dense scan's index. A compiled RevLib view holds at most 16
+/// nonzero amplitudes (Table-I `rd84`: at most 12 of 4096), so its gates
+/// cost a few entries instead of 2^n. Past the limit, and on `apply_fused`,
+/// `apply_gang`, `apply_two_qubit`, `apply_matrix` and `normalize`, the
+/// list is dropped and the dense kernels below run until the next reset.
+///
 /// Every gate runs on the calling thread as one call over its whole index
 /// range. The library parallelizes across jobs (service::Service) and shots
 /// (runtime::run_chunked in sim::sample), where the evaluation's many small
@@ -50,9 +64,26 @@ class StateVector {
   /// Widest register: 2^28 amplitudes are 4 GiB.
   static constexpr int kMaxQubits = 28;
 
+  /// The support limit: a register stays sparse while at most
+  /// 2^(n - kSparseShift) of its amplitudes are nonzero, so registers below
+  /// kSparseShift qubits are always dense. Measured on a 400-gate
+  /// CX/CCX/T/RZ/X stream (support-preserving) over Hadamard-prepared
+  /// supports of 2^k entries at 5-8, 10, 12 and 14 qubits, one thread,
+  /// shared 4-core AVX2 host: a tracked gate costs about 12 ns per entry,
+  /// 0.78-1.01x a dense gate at 2^n/32 entries and 1.29-2.29x at 2^n/16, so
+  /// the register densifies above 2^n/32.
+  static constexpr int kSparseShift = 5;
+
   /// Initializes |0...0> on `num_qubits` wires (0 <= num_qubits <=
   /// kMaxQubits).
   explicit StateVector(int num_qubits);
+
+  StateVector(const StateVector&) = default;
+  StateVector(StateVector&&) noexcept = default;
+  StateVector& operator=(StateVector&&) noexcept = default;
+  /// Copies the state; between equal-width sparse registers only the two
+  /// supports are written (how an errored shot restores a checkpoint).
+  StateVector& operator=(const StateVector& other);
 
   int num_qubits() const { return num_qubits_; }
   std::size_t dim() const { return amps_.size(); }
@@ -150,14 +181,30 @@ class StateVector {
  private:
   void apply_single_qubit(const cplx m[2][2], int q);
 
+  /// The basis state |index>, sparse when the width allows.
+  void to_basis(std::size_t index);
+
+  /// Drops the support list; the dense kernels run until the next reset.
+  void densify() {
+    sparse_ = false;
+    support_.clear();
+  }
+
+  /// Sparse form of a subspace kernel: `pair(amps[i0], amps[i0 ^ s.flip])`
+  /// once per pair with a support entry in it (`flip == 0` passes the same
+  /// amplitude twice), then the support is rebuilt from the nonzero results.
+  template <typename PairOp>
+  void sparse_pairs(const kernels::Subspace& s, PairOp pair);
+
   /// Applies one fused op (the unit apply_fused iterates) to the full
   /// register (defined in fusion.cpp, where FusedOp is complete).
   void apply_fused_op(const FusedOp& op);
 
   /// Runs `kernel(amps, begin, end, s)` over every index of the subspace
-  /// `s` — the permutation and controlled gates (sim/kernels/kernels.h).
-  template <typename Kernel>
-  void run_subspace(const kernels::Subspace& s, Kernel kernel);
+  /// `s` — the permutation and controlled gates (sim/kernels/kernels.h) —
+  /// or, while sparse, `pair` over the support's pairs (sparse_pairs).
+  template <typename Kernel, typename PairOp>
+  void run_subspace(const kernels::Subspace& s, Kernel kernel, PairOp pair);
 
   /// Executes `count` consecutive tile-local fused ops tile by tile
   /// (defined in fusion.cpp, where FusedOp is complete).
@@ -166,6 +213,11 @@ class StateVector {
   int num_qubits_;
   int tile_qubits_ = kDefaultTileQubits;
   std::vector<cplx> amps_;
+  /// While sparse: every index whose amplitude is nonzero, each once, in no
+  /// particular order. Empty once dense.
+  std::vector<std::size_t> support_;
+  bool sparse_ = false;
+  std::vector<std::size_t> pairs_;  ///< sparse_pairs scratch, empty between calls
 };
 
 /// 2x2 matrix for a single-qubit kind (throws for multi-qubit kinds).

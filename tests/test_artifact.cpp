@@ -208,6 +208,59 @@ TEST(BinIo, StringRejectsOversizedLength) {
   EXPECT_THROW(r.str("name", 1 << 12), ParseError);
 }
 
+TEST(BinIo, VarintsRoundTripAtTheirBoundaries) {
+  const std::uint64_t values[] = {0, 1, 127, 128, 16383, 16384, 0xffffffffULL,
+                                  0x8000000000000000ULL, ~0ULL};
+  ByteWriter w;
+  for (std::uint64_t v : values) w.var(v);
+  w.zigzag(0).zigzag(-1).zigzag(1).zigzag(-64).zigzag(64);
+  w.zigzag(INT64_MIN).zigzag(INT64_MAX).var_str("name");
+  const std::string bytes = std::move(w).take();
+  // 1+1+1+2+2+3+5+10+10 bytes of vars, 1+1+1+1+2+10+10 of zigzags, 1+4.
+  EXPECT_EQ(bytes.size(), 35u + 26u + 5u);
+
+  ByteReader r(bytes);
+  for (std::uint64_t v : values) EXPECT_EQ(r.var("v"), v);
+  EXPECT_EQ(r.zigzag("z"), 0);
+  EXPECT_EQ(r.zigzag("z"), -1);
+  EXPECT_EQ(r.zigzag("z"), 1);
+  EXPECT_EQ(r.zigzag("z"), -64);
+  EXPECT_EQ(r.zigzag("z"), 64);
+  EXPECT_EQ(r.zigzag("z"), INT64_MIN);
+  EXPECT_EQ(r.zigzag("z"), INT64_MAX);
+  EXPECT_EQ(r.var_str("s", 4), "name");
+  EXPECT_TRUE(r.at_end());
+}
+
+// Each value has one encoding: a trailing zero group is a longer spelling
+// of a shorter value, and a tenth byte above 1 (or an eleventh byte) holds
+// bits past 64.
+TEST(BinIo, VarintRejectsOverlongAndOverflowing) {
+  const std::vector<std::string> bad = {
+      std::string("\x80\x00", 2),                  // 0 in two bytes
+      std::string("\xff\x00", 2),                  // 127 in two bytes
+      std::string("\x80\x80\x80\x80\x00", 5),      // 0 in five bytes
+      std::string(9, '\xff') + '\x02',             // bit 64 set
+      std::string(9, '\xff') + '\x81' + '\x00',     // eleven bytes
+      std::string(10, '\x80') + '\x01',            // 2^70
+      std::string("\x80", 1),                      // truncated
+  };
+  for (const std::string& bytes : bad) {
+    ByteReader r(bytes);
+    EXPECT_THROW(r.var("field"), ParseError) << bytes.size() << " bytes";
+  }
+  // The largest value and a zero stay readable.
+  const std::string max = std::string(9, '\xff') + '\x01';
+  ByteReader ok(max);
+  EXPECT_EQ(ok.var("max"), ~0ULL);
+  // A count above its limit is refused before anything is allocated.
+  ByteWriter w;
+  w.var(1'000'000);
+  const std::string count = std::move(w).take();
+  ByteReader r(count);
+  EXPECT_THROW(r.var_count("gate count", 1000), ParseError);
+}
+
 TEST(BinIo, ExpectEndRejectsTrailingBytes) {
   ByteWriter w;
   w.u8(1).u8(2);
@@ -253,8 +306,8 @@ TEST(CircuitCodec, BarrierRoundTrips) {
 
 TEST(CircuitCodec, RejectsUnknownGateKind) {
   ByteWriter w;
-  w.u32(1).str("x").u32(1);
-  w.u8(0xff).u32(1).u32(0).u8(0);  // kind 0xff does not exist
+  w.var(1).var_str("x").var(1);
+  w.u8(0xff).var(0);  // kind 0xff does not exist
   const std::string bytes = std::move(w).take();
   ByteReader r(bytes);
   EXPECT_THROW(qir::read_circuit(r), ParseError);
@@ -266,16 +319,47 @@ TEST(CircuitCodec, RejectsOutOfRangeQubit) {
   ByteWriter w;
   qir::write_circuit(w, c);
   std::string bytes = std::move(w).take();
-  // The CX target qubit is the last u32 before the trailing param count;
+  // The CX target qubit is the record's last byte (CX has no parameters);
   // rewrite it to 9 (register width is 2).
-  bytes[bytes.size() - 5] = 9;
+  bytes.back() = 9;
   ByteReader r(bytes);
   EXPECT_THROW(qir::read_circuit(r), ParseError);
 }
 
+TEST(CircuitCodec, RejectsRepeatedQubitAndTruncation) {
+  qir::Circuit c(3, "");
+  c.ccx(0, 1, 2);
+  ByteWriter w;
+  qir::write_circuit(w, c);
+  std::string bytes = std::move(w).take();
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    ByteReader r(std::string_view(bytes).substr(0, len));
+    EXPECT_THROW(qir::read_circuit(r), ParseError) << len << " bytes";
+  }
+  bytes.back() = 1;  // ccx(0, 1, 1)
+  ByteReader r(bytes);
+  EXPECT_THROW(qir::read_circuit(r), ParseError);
+}
+
+// Only MCX and Barrier spell out their qubit counts; no kind spells out a
+// parameter count.
+TEST(CircuitCodec, KindsImplyTheirCounts) {
+  qir::Circuit c(5, "");
+  c.rz(0.5, 0).cx(0, 1).mcx({0, 1, 2}, 4).barrier();
+  ByteWriter w;
+  qir::write_circuit(w, c);
+  const std::string bytes = std::move(w).take();
+  // 3 header bytes; rz: kind, qubit, f64; cx: kind, 2 qubits; mcx: kind,
+  // count, 4 qubits; barrier: kind, count, 5 qubits.
+  EXPECT_EQ(bytes.size(), 3u + 10u + 3u + 6u + 7u);
+  ByteReader r(bytes);
+  EXPECT_EQ(qir::read_circuit(r), c);
+  EXPECT_TRUE(r.at_end());
+}
+
 TEST(CircuitCodec, RejectsOversizedQubitCount) {
   ByteWriter w;
-  w.u32(qir::kMaxCircuitQubits + 1).str("").u32(0);
+  w.var(qir::kMaxCircuitQubits + 1).var_str("").var(0);
   const std::string bytes = std::move(w).take();
   ByteReader r(bytes);
   EXPECT_THROW(qir::read_circuit(r), ParseError);
@@ -293,6 +377,34 @@ TEST(FlowResultCodec, RealFlowRoundTripsExactly) {
   const lock::FlowResult decoded = lock::read_flow_result(r);
   EXPECT_TRUE(r.at_end());
   expect_equal_results(decoded, original);
+}
+
+// A recombined circuit that is not exactly the concatenation of the
+// compiled halves travels in full behind flag 0.
+TEST(FlowResultCodec, RecombinedCircuitOtherThanTheConcatenationRoundTrips) {
+  ByteWriter flagged;
+  lock::write_flow_result(flagged, flow_result());
+  lock::FlowResult renamed = flow_result();
+  renamed.recombined.circuit.set_name("other");
+  lock::FlowResult extended = flow_result();
+  extended.recombined.circuit.x(0);
+  for (const lock::FlowResult* variant : {&renamed, &extended}) {
+    ByteWriter w;
+    lock::write_flow_result(w, *variant);
+    const std::string bytes = std::move(w).take();
+    EXPECT_GT(bytes.size(), flagged.size());
+    ByteReader r(bytes);
+    const lock::FlowResult decoded = lock::read_flow_result(r);
+    EXPECT_TRUE(r.at_end());
+    expect_equal_results(decoded, *variant);
+    EXPECT_EQ(decoded.recombined.circuit.name(),
+              variant->recombined.circuit.name());
+  }
+  // The flagged form rebuilds the circuit Deobfuscator::run built.
+  ByteReader r(flagged.bytes());
+  const lock::FlowResult decoded = lock::read_flow_result(r);
+  EXPECT_EQ(decoded.recombined.circuit.name(), "recombined_compiled");
+  EXPECT_EQ(decoded.recombined.circuit, flow_result().recombined.circuit);
 }
 
 TEST(FlowResultCodec, DefaultResultRoundTrips) {
@@ -388,7 +500,7 @@ TEST(Artifact, RejectsOversizedCountInsidePayload) {
   // Handcrafted envelope whose payload opens with an absurd qubit count —
   // must die at the count validator, before any allocation.
   ByteWriter payload;
-  payload.u32(0xffffffff);
+  payload.var(0xffffffff);
   const std::string payload_bytes = std::move(payload).take();
   ByteWriter w;
   w.raw(service::kArtifactMagic, 4);
@@ -404,6 +516,44 @@ TEST(Artifact, RejectsOversizedCountInsidePayload) {
     EXPECT_NE(std::string(e.what()).find("exceeds limit"), std::string::npos)
         << e.what();
   }
+}
+
+// ---------------------------------------------------------- format 1 files
+
+// `tetrislock_cli protect --benchmark 4mod5 --seed 2025 --shots 200
+// --store DIR` as written by the last format-1 build, named by its key as
+// the store names it.
+constexpr const char* kFormat1Fixture =
+    TETRIS_TEST_DATA_DIR "/artifacts_v1/"
+    "df43ae19600474d7-00000000000007e9-ed6a152331902b8b.tla";
+
+lock::FlowJob fixture_job() {
+  const auto& b = revlib::get_benchmark("4mod5");
+  lock::FlowConfig cfg;
+  cfg.shots = 200;
+  return lock::make_flow_job(b.name, b.circuit, b.measured, cfg);
+}
+
+TEST(ArtifactFormat1, FixtureDecodesToTheSameResultAsVersion2) {
+  const std::string v1 = read_file(kFormat1Fixture);
+  const service::Artifact old = service::decode_artifact(v1);
+  EXPECT_EQ(old.version, 1u);
+  EXPECT_EQ(old.key, service::artifact_key(fixture_job(), 2025));
+
+  const std::string v2 = service::encode_artifact(old.key, old.result);
+  const service::Artifact now = service::decode_artifact(v2);
+  EXPECT_EQ(now.version, service::kArtifactVersion);
+  EXPECT_EQ(now.key, old.key);
+  EXPECT_LT(v2.size(), v1.size());
+  EXPECT_EQ(service::to_json(now.result), service::to_json(old.result));
+  expect_equal_results(now.result, old.result);
+
+  // Today's run of the same key computes the stored result.
+  service::Service svc(service::ServiceConfig{});
+  const service::JobOutcome fresh = svc.submit(fixture_job(), 2025).wait();
+  ASSERT_EQ(fresh.state, service::JobState::kDone);
+  EXPECT_EQ(service::to_json(fresh.result), service::to_json(old.result));
+  expect_equal_results(fresh.result, old.result);
 }
 
 // ------------------------------------------------------------ artifact store
@@ -515,6 +665,25 @@ TEST(ServiceStore, WarmStartsAcrossRestart) {
   EXPECT_TRUE(out.cache_hit);  // answered from disk, no recompute
   EXPECT_EQ(service_metric(svc, "tetris_store_hits_total"), 1.0);
   expect_equal_results(out.result, first_result);
+}
+
+// A store written by a format-1 build warm-starts a format-2 service: the
+// hit keeps the file's bytes as the job's artifact.
+TEST(ServiceStore, WarmStartsFromFormat1File) {
+  const std::string dir = scratch_dir("format1");
+  fs::copy_file(kFormat1Fixture,
+                fs::path(dir) / fs::path(kFormat1Fixture).filename());
+  service::ServiceConfig cfg;
+  cfg.store_dir = dir;
+  service::Service svc(cfg);
+  const auto handle = svc.submit(fixture_job(), 2025);
+  const auto out = handle.wait();
+  ASSERT_EQ(out.state, service::JobState::kDone);
+  EXPECT_TRUE(out.cache_hit);
+  EXPECT_EQ(service_metric(svc, "tetris_store_hits_total"), 1.0);
+  EXPECT_EQ(svc.artifact_bytes(handle), read_file(kFormat1Fixture));
+  expect_equal_results(
+      out.result, service::decode_artifact(read_file(kFormat1Fixture)).result);
 }
 
 TEST(ServiceStore, DiskHitPromotesIntoMemoryCache) {

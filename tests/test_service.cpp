@@ -589,30 +589,32 @@ double retained_per_done_job(const char* name, std::size_t jobs) {
 // warnings, resolved engine, artifact bytes and the packed trace. The
 // circuit, measured list and target die with the task that ran the job,
 // so a service that never forgets a job grows by a small fixed amount per
-// job: 200 done 4mod5 jobs must each add less than 9 KB of heap. Holding
-// the FlowResult took about 42 KB per job, artifact strings with the
-// growth slack of their last append about 16 KB, and the inputs with a
-// span-list trace 10.3 KB.
-TEST(ServiceMemory, DoneJobsRetainLessThan9KBEach) {
+// job: 200 done 4mod5 jobs must each add less than 3.5 KB of heap (about
+// 2.6 KB with format-2 artifacts). Format-1 artifacts made that 6.9 KB,
+// holding the FlowResult about 42 KB, artifact strings with the growth
+// slack of their last append about 16 KB, and the inputs with a span-list
+// trace 10.3 KB.
+TEST(ServiceMemory, DoneJobsRetainUnder3584BytesEach) {
 #if defined(__GLIBC__) && __GLIBC_PREREQ(2, 33)
   if (kSanitized) GTEST_SKIP() << "sanitizer allocators bypass mallinfo2";
   const double per_job = retained_per_done_job("4mod5", 200);
   if (per_job == 0.0) GTEST_SKIP() << "mallinfo2 reports no heap in use";
-  EXPECT_LT(per_job, 9.0 * 1024.0) << "bytes retained per done job";
+  EXPECT_LT(per_job, 3.5 * 1024.0) << "bytes retained per done job";
 #else
   GTEST_SKIP() << "needs glibc's mallinfo2";
 #endif
 }
 
-// Where the inputs dominate: a done cliff50 job retained about 39 KB while
-// its record held the job, whose copy alone holds 19.6 KB (14.7 KB of it
-// the 50-qubit Target).
-TEST(ServiceMemory, DoneCliff50JobsRetainAtMost22KBEach) {
+// The 50-qubit Clifford flow: a done cliff50 job retains about 4.1 KB
+// with format-2 artifacts, 17.7 KB with format-1 ones, and retained about
+// 39 KB while its record held the job, whose copy alone holds 19.6 KB
+// (14.7 KB of it the 50-qubit Target).
+TEST(ServiceMemory, DoneCliff50JobsRetainAtMost6KBEach) {
 #if defined(__GLIBC__) && __GLIBC_PREREQ(2, 33)
   if (kSanitized) GTEST_SKIP() << "sanitizer allocators bypass mallinfo2";
   const double per_job = retained_per_done_job("cliff50", 100);
   if (per_job == 0.0) GTEST_SKIP() << "mallinfo2 reports no heap in use";
-  EXPECT_LE(per_job, 22.0 * 1024.0) << "bytes retained per done job";
+  EXPECT_LE(per_job, 6.0 * 1024.0) << "bytes retained per done job";
 #else
   GTEST_SKIP() << "needs glibc's mallinfo2";
 #endif

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <numeric>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -347,6 +351,205 @@ TEST(ApplyTwoQubit, ValidatesItsArguments) {
   EXPECT_THROW(sv.apply_two_qubit(m, 0, 3), InvalidArgument);
   EXPECT_THROW(sv.apply_two_qubit(m, -1, 2), InvalidArgument);
   EXPECT_NO_THROW(sv.apply_two_qubit(m, 2, 0));
+}
+
+// ------------------------------------------------------ support tracking
+
+/// One step of a sparse-vs-dense run: a gate, or a Pauli injection when
+/// `pauli` is set.
+struct Step {
+  qir::Gate gate;
+  char pauli = 0;
+  int qubit = 0;
+};
+
+/// Every GateKind the width allows (MCX needs 4 wires) on distinct random
+/// qubits, with random and quarter-turn angles, plus X/Y/Z injections.
+/// `support_preserving` keeps to the permutations and diagonals, under
+/// which a basis state's support stays one entry — a RevLib view's shape
+/// (its few Hadamards are added by the caller).
+std::vector<Step> random_steps(int n, std::size_t count, Rng& rng,
+                               bool support_preserving = false) {
+  std::vector<Step> steps;
+  for (std::size_t i = 0; i < count; ++i) {
+    Step step;
+    if (rng.index(6) == 0) {
+      step.pauli = "XYZ"[rng.index(3)];
+      step.qubit = static_cast<int>(rng.index(static_cast<std::size_t>(n)));
+      steps.push_back(step);
+      continue;
+    }
+    qir::GateKind kind;
+    int arity;
+    do {
+      kind = static_cast<qir::GateKind>(
+          rng.index(static_cast<std::size_t>(qir::GateKind::Barrier) + 1));
+      arity = kind == qir::GateKind::MCX       ? 4 + static_cast<int>(rng.index(3))
+              : kind == qir::GateKind::Barrier ? n
+                                               : qir::gate_arity(kind);
+    } while (arity > n ||
+             (support_preserving && !qir::Gate(kind, {}).is_classical() &&
+              !qir::Gate(kind, {}).is_diagonal()));
+    std::vector<int> wires(static_cast<std::size_t>(n));
+    std::iota(wires.begin(), wires.end(), 0);
+    rng.shuffle(wires);
+    wires.resize(static_cast<std::size_t>(arity));
+    std::vector<double> params;
+    if (qir::gate_param_count(kind) == 1) {
+      params.push_back(rng.index(2) == 0 ? M_PI / 2 * static_cast<double>(rng.index(4))
+                                         : rng.uniform() * 6.0);
+    }
+    step.gate = qir::Gate(kind, std::move(wires), std::move(params));
+    steps.push_back(step);
+  }
+  return steps;
+}
+
+/// The dense reference: a one-gate plan densifies the register, then runs
+/// apply_gate's dense kernels; an empty plan densifies before an injection.
+void apply_dense(StateVector& sv, const Step& step) {
+  qir::Circuit one(sv.num_qubits());
+  if (step.pauli == 0) one.add(step.gate);
+  sv.apply_fused(FusionPlan::build(one));
+  if (step.pauli != 0) sv.apply_pauli(step.pauli, step.qubit);
+}
+
+void apply_tracked(StateVector& sv, const Step& step) {
+  if (step.pauli == 0) {
+    sv.apply_gate(step.gate);
+  } else {
+    sv.apply_pauli(step.pauli, step.qubit);
+  }
+}
+
+std::uint64_t bits_of(double x, bool fold_zero_sign) {
+  if (fold_zero_sign && x == 0.0) x = 0.0;
+  std::uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
+
+/// Bitwise amplitude equality; -0 equals +0 when `fold_zero_sign`.
+void expect_same_bits(const StateVector& a, const StateVector& b,
+                      bool fold_zero_sign, const std::string& where) {
+  ASSERT_EQ(a.dim(), b.dim());
+  for (std::size_t i = 0; i < a.dim(); ++i) {
+    const cplx x = a.amplitudes()[i], y = b.amplitudes()[i];
+    ASSERT_EQ(bits_of(x.real(), fold_zero_sign), bits_of(y.real(), fold_zero_sign))
+        << where << ", amplitude " << i;
+    ASSERT_EQ(bits_of(x.imag(), fold_zero_sign), bits_of(y.imag(), fold_zero_sign))
+        << where << ", amplitude " << i;
+  }
+}
+
+void expect_same_draws(const StateVector& a, const StateVector& b,
+                       std::uint64_t seed, const std::string& where) {
+  Rng ra(seed), rb(seed);
+  for (int d = 0; d < 10000; ++d) {
+    ASSERT_EQ(a.sample(ra), b.sample(rb)) << where << ", draw " << d;
+  }
+}
+
+/// A few Hadamards on a basis state, then permutations and diagonals: the
+/// support stays at most 2^3 entries, in the order the gates moved them.
+std::vector<Step> small_support_steps(int n, std::size_t count, Rng& rng) {
+  std::vector<Step> steps;
+  for (int q = 0; q < std::min(n, 3); ++q) steps.push_back({qir::make_h(q)});
+  for (const Step& step : random_steps(n, count, rng, true)) steps.push_back(step);
+  return steps;
+}
+
+// Random streams over every kind from random basis states at 1-14 qubits:
+// amplitudes equal the dense kernels' up to the sign of a zero after every
+// step, whether the register stays sparse (trial 2), crosses the limit
+// mid-stream (trial 1: the Hadamard layer holds 2^n entries) or is reset
+// after densifying.
+TEST(SparseSupport, MatchesDenseKernelsAtEveryStep) {
+  Rng rng(24);
+  for (int n = 1; n <= 14; ++n) {
+    for (int trial = 0; trial < 3; ++trial) {
+      const std::string where =
+          std::to_string(n) + " qubits, trial " + std::to_string(trial);
+      std::vector<Step> steps = trial == 2 ? small_support_steps(n, 150, rng)
+                                           : random_steps(n, n >= 12 ? 60 : 150, rng);
+      if (trial == 1) {
+        // Fill the register half way through.
+        std::vector<Step> layer(static_cast<std::size_t>(n));
+        for (int q = 0; q < n; ++q) layer[static_cast<std::size_t>(q)].gate = qir::make_h(q);
+        steps.insert(steps.begin() + static_cast<std::ptrdiff_t>(steps.size() / 2),
+                     layer.begin(), layer.end());
+      }
+      const std::size_t basis = rng.index(std::size_t{1} << n);
+      StateVector tracked(n), dense(n);
+      tracked.set_basis_state(basis);
+      dense.set_basis_state(basis);
+      for (std::size_t i = 0; i < steps.size(); ++i) {
+        apply_tracked(tracked, steps[i]);
+        apply_dense(dense, steps[i]);
+        expect_same_bits(tracked, dense, true, where + ", step " + std::to_string(i));
+        if (HasFatalFailure()) return;
+      }
+      if (trial != 1) continue;
+      // Back to a basis state after densifying: tracking resumes.
+      tracked.reset();
+      dense.reset();
+      for (const Step& step : random_steps(n, 40, rng)) {
+        apply_tracked(tracked, step);
+        apply_dense(dense, step);
+      }
+      expect_same_bits(tracked, dense, true, where + ", after reset");
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+// The support's norms, summed in index order, stop where the dense scan
+// stops: 10^4 draws land on the same indices, whether the register is
+// still sparse or has densified.
+TEST(SparseSupport, SampleDrawsTheDenseIndex) {
+  Rng rng(7);
+  for (int n : {5, 6, 9, 12, 13}) {
+    for (bool small : {true, false}) {
+      StateVector tracked(n), dense(n);
+      const std::size_t basis = rng.index(std::size_t{1} << n);
+      tracked.set_basis_state(basis);
+      dense.set_basis_state(basis);
+      for (const Step& step : small ? small_support_steps(n, 80, rng)
+                                    : random_steps(n, 120, rng)) {
+        apply_tracked(tracked, step);
+        apply_dense(dense, step);
+      }
+      expect_same_draws(tracked, dense, 99,
+                        std::to_string(n) + (small ? " qubits, small" : " qubits"));
+    }
+  }
+}
+
+// Copies carry the support: a copy-constructed register continues bit for
+// bit, and a copy assigned over another sparse register (how a trajectory
+// restores a checkpoint) continues equal up to zero signs.
+TEST(SparseSupport, CopiesContinueIdentically) {
+  Rng rng(11);
+  for (int n : {6, 11}) {
+    StateVector original(n);
+    for (const Step& step : small_support_steps(n, 30, rng)) {
+      apply_tracked(original, step);
+    }
+    StateVector constructed(original);
+    StateVector assigned(n);
+    for (const Step& step : small_support_steps(n, 10, rng)) {
+      apply_tracked(assigned, step);
+    }
+    assigned = original;
+    for (const Step& step : small_support_steps(n, 60, rng)) {
+      apply_tracked(original, step);
+      apply_tracked(constructed, step);
+      apply_tracked(assigned, step);
+    }
+    expect_same_bits(constructed, original, false, "copy-constructed");
+    expect_same_bits(assigned, original, true, "copy-assigned");
+    expect_same_draws(assigned, original, 5, "copy-assigned");
+  }
 }
 
 TEST(ApplyMatrix, MatchesNamedKind) {

@@ -85,7 +85,8 @@
 //
 // Every subcommand additionally accepts --jobs N (1..1024), which sizes the
 // shared worker pool used by the service and the sampler (default:
-// TETRIS_THREADS env var, then hardware concurrency). Unknown
+// TETRIS_THREADS env var, then hardware concurrency); serve and dispatch
+// size their own pools with it instead, and submit and fetch ignore it. Unknown
 // flags and non-integer values for integer flags are rejected with a
 // per-subcommand error instead of being silently ignored.
 //
@@ -745,7 +746,7 @@ int cmd_fetch(const Options& o) {
   const service::Artifact artifact = service::decode_artifact(bytes);
   const auto& r = artifact.result;
   std::cout << "artifact          : " << origin << " (" << bytes.size()
-            << " bytes, format v" << service::kArtifactVersion << ")\n";
+            << " bytes, format v" << artifact.version << ")\n";
   std::cout << "circuit hash      : " << std::hex << std::setfill('0')
             << std::setw(16) << artifact.key.circuit_hash << std::dec
             << std::setfill(' ') << "\n";
@@ -942,11 +943,16 @@ int main(int argc, char** argv) {
     const std::set<std::string>* allowed = allowed_flags(cmd);
     if (allowed == nullptr) return usage();
     Options o = parse(argc, argv, 2, cmd, *allowed);
-    // --jobs is range-checked once, here, before any pool is built: serve
-    // and dispatch size their private pools from the same value.
+    // --jobs is range-checked once, here, before any pool is built. serve
+    // and dispatch size their private pools from the same value, and
+    // neither they nor the HTTP clients submit and fetch run anything on
+    // the global pool, so only the local subcommands build it.
     if (o.has("jobs")) {
-      runtime::ThreadPool::set_global_threads(static_cast<unsigned>(
-          o.get_long("jobs", 0, 1, runtime::ThreadPool::kMaxThreads)));
+      const auto jobs = static_cast<unsigned>(
+          o.get_long("jobs", 0, 1, runtime::ThreadPool::kMaxThreads));
+      const bool global_pool = cmd != "serve" && cmd != "dispatch" &&
+                               cmd != "submit" && cmd != "fetch";
+      if (global_pool) runtime::ThreadPool::set_global_threads(jobs);
     }
     if (cmd == "info") return cmd_info(o);
     if (cmd == "obfuscate") return cmd_obfuscate(o);
