@@ -1,16 +1,15 @@
 // Gate-fusion + SIMD throughput: fused vs unfused statevector execution
 // across a register-width sweep, in both kernel modes (scalar reference and
-// AVX2 when the host has it), on fusion-friendly layered circuits (dense 1q
-// rows + repeated same-pair 2q runs — the shape deep locked circuits compile
-// to).
+// AVX2 when the host has it), on layered circuits shaped like compiled
+// views: an rz.sx.rz chain on every qubit, then CX pairs, and a Toffoli
+// every third layer.
 //
-// Every gate of the unfused path costs one full amplitude sweep; the fusion
-// pass (sim/fusion.h) merges same-qubit runs, gangs of distinct-qubit 1q
-// gates, and same-pair 2q runs so each sweep does more arithmetic per byte.
-// The win is memory-bandwidth-bound and grows with width: at 4 qubits the
-// whole register lives in L1 and fusion only saves loop overhead; at 16-18
-// qubits (1-4M amplitudes) every saved sweep is a saved pass over a
-// multi-megabyte array.
+// Every gate of the unfused path costs one amplitude sweep. The fusion pass
+// (sim/fusion.h) multiplies each qubit's chain into one 2x2, so a layer's
+// 3n single-qubit sweeps become n dense ones, while the CX pairs and the
+// Toffolis run the same subspace kernels in both paths. At 4 qubits the
+// whole register lives in L1 and fusion only saves loop overhead; at 16-20
+// qubits every saved sweep is a saved pass over a multi-megabyte array.
 //
 // **Roofline.** Each sweep reads and writes every amplitude once, so its
 // traffic model is 32 bytes per amplitude (complex<double> in + out):
@@ -66,24 +65,21 @@ namespace {
 using namespace tetris;
 using sim::kernels::SimdMode;
 
-/// Fusion-friendly workload: rows of per-qubit 1q rotations (gang-fusible),
-/// then a few repeated same-pair 2q gates (4x4-fusible), then a Toffoli
-/// every few layers (passthrough) so the plan is never trivially one op.
+/// Compiled-view-shaped workload: per layer, an rz.sx.rz chain on every
+/// qubit (one merged 2x2 each), CX pairs on alternating offsets
+/// (passthrough), and a Toffoli every third layer (passthrough).
 qir::Circuit layered_circuit(int n, int gates, Rng& rng) {
   qir::Circuit c(n, "fusion_bench");
   int layer = 0;
   while (static_cast<int>(c.size()) < gates) {
     for (int q = 0; q < n && static_cast<int>(c.size()) < gates; ++q) {
-      switch (rng.uniform_int(0, 3)) {
-        case 0: c.h(q); break;
-        case 1: c.t(q); break;
-        case 2: c.rz(rng.uniform() * 3.1, q); break;
-        default: c.rx(rng.uniform() * 3.1, q); break;
-      }
+      const double before = rng.uniform() * 3.1;
+      const double after = rng.uniform() * 3.1;
+      c.rz(before, q).sx(q).rz(after, q);
     }
-    for (int q = 0; q + 1 < n && static_cast<int>(c.size()) < gates; q += 2) {
+    for (int q = layer % 2; q + 1 < n && static_cast<int>(c.size()) < gates;
+         q += 2) {
       c.cx(q, q + 1);
-      if (static_cast<int>(c.size()) < gates) c.cz(q, q + 1);
     }
     if (n >= 3 && ++layer % 3 == 0 && static_cast<int>(c.size()) < gates) {
       c.ccx(0, 1, 2);
@@ -236,9 +232,9 @@ int main(int argc, char** argv) {
   const double stream_gbps = measure_stream_gbps();
 
   // 20 qubits = 16 MiB of amplitudes — past typical L3, the memory-bound
-  // regime gate fusion and the cache tiling target.
+  // regime where each sweep fusion saves is a pass over main memory.
   const std::vector<int> widths = {4, 8, 12, 16, 18, 20};
-  std::cout << "workload: layered fusion-friendly circuits, " << gates
+  std::cout << "workload: layered rz.sx.rz + cx circuits, " << gates
             << " gates x " << iterations << " iterations, simd "
             << (avx2 ? "avx2" : "scalar-only") << ", memcpy roof "
             << fmt_double(stream_gbps, 1) << " GB/s\n\n";

@@ -82,11 +82,11 @@ BENCHMARK(BM_StateVectorPermutation)
     ->Args({1, 12})->Args({1, 14})
     ->Args({2, 12})->Args({2, 14});
 
-// SIMD kernel dispatch: one fused sweep workload (gang rows + pair windows)
-// under each kernel mode. range(0) = qubits, range(1) = 0 scalar / 1 AVX2;
-// the AVX2 rows are skipped on hosts without the ISA. The ratio at equal
-// width is the SIMD speedup BENCH_fusion.json reports as
-// speedup_simd_vs_scalar_fused.
+// SIMD kernel dispatch: one fused workload (an rz.sx.rz chain per qubit,
+// each merged into one dense 2x2 sweep, then CX pairs) under each kernel
+// mode. range(0) = qubits, range(1) = 0 scalar / 1 AVX2; the AVX2 rows are
+// skipped on hosts without the ISA. The ratio at equal width is the SIMD
+// speedup BENCH_fusion.json reports as speedup_simd_vs_scalar_fused.
 void BM_FusedSweepSimd(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const bool avx2 = state.range(1) != 0;
@@ -100,7 +100,11 @@ void BM_FusedSweepSimd(benchmark::State& state) {
   qir::Circuit c(n, "simd_bench");
   Rng rng(11);
   for (int layer = 0; layer < 4; ++layer) {
-    for (int q = 0; q < n; ++q) c.rz(rng.uniform() * 3.0, q);
+    for (int q = 0; q < n; ++q) {
+      const double before = rng.uniform() * 3.0;
+      const double after = rng.uniform() * 3.0;
+      c.rz(before, q).sx(q).rz(after, q);
+    }
     for (int q = 0; q + 1 < n; q += 2) c.cx(q, q + 1);
   }
   const auto plan = sim::FusionPlan::build(c);

@@ -30,12 +30,12 @@ struct FlowConfig {
   /// this knob is excluded from service::flow_fingerprint (a cached result
   /// is valid whatever fan-out computed it).
   unsigned sample_threads = 0;
-  /// Fuse adjacent gates into combined statevector kernels
-  /// (sim/fusion.h) in the noisy verification's ideal runs — CLI `--fuse`.
-  /// Off by default: fused kernels reorder floating-point arithmetic, so
-  /// sampled metrics are tolerance-equal, not bit-identical, to the
-  /// unfused path. Unlike sample_threads this knob IS part of
-  /// service::flow_fingerprint, because it can change the result.
+  /// Merge same-qubit gate runs into one 2x2 each (sim/fusion.h) in the
+  /// noisy verification's ideal statevector runs — CLI `--fuse`. Off by
+  /// default: a merged 2x2 reorders floating-point arithmetic, so sampled
+  /// metrics are tolerance-equal, not bit-identical, to the unfused path.
+  /// Unlike sample_threads this knob IS part of service::flow_fingerprint,
+  /// because it can change the result.
   bool fusion = false;
   /// Simulation engine of the flow's sampled runs — CLI `--backend`. kAuto
   /// is resolved ONCE against the source circuit (sim::resolve_backend) and

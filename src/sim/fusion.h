@@ -8,14 +8,6 @@
 
 namespace tetris::sim {
 
-/// Knobs of the fusion pass (FusionPlan::build).
-struct FusionOptions {
-  /// Largest number of distinct qubits one gang sweep may cover. Capped by
-  /// StateVector::kMaxGangQubits (the kernel's scratch block is
-  /// 2^max_gang_qubits amplitudes).
-  int max_gang_qubits = StateVector::kMaxGangQubits;
-};
-
 /// What the pass did — each emitted op costs exactly one amplitude sweep, so
 /// ops_out / gates_in is the memory-pass ratio fusion buys.
 struct FusionStats {
@@ -28,41 +20,45 @@ struct FusionStats {
   double sweep_reduction() const;
 };
 
+/// One 2x2 matrix bound to one qubit: a fused same-qubit product.
+struct SingleQubitOp {
+  cplx m[2][2] = {};
+  int qubit = 0;
+};
+
 /// One executable unit of a FusionPlan — exactly one amplitude sweep.
 ///
-/// `first_gate` / `gate_count` tie the op back to the source gate stream
-/// (barriers included in the indexing), which is what the fence tests and
-/// the stats assert on.
+/// `first_gate` is the source index (barriers included in the indexing) of
+/// the op's first gate and `gate_count` the number of source gates it
+/// folds; a kSingle's gates are its qubit's gates in one single-qubit
+/// window, so other qubits' gates may sit between them.
 struct FusedOp {
   enum class Kind {
-    kGate,      ///< passthrough: apply `gate` via StateVector::apply_gate
-    kSingle,    ///< one 2x2: a same-qubit run multiplied into one matrix
-    kGang,      ///< several 2x2s on distinct qubits, one gathered sweep
-    kTwoQubit,  ///< one 4x4 on the wire pair (a, b)
+    kGate,    ///< passthrough: apply `gate` via StateVector::apply_gate
+    kSingle,  ///< one 2x2: a qubit's gates in one window multiplied together
   };
   Kind kind = Kind::kGate;
   std::size_t first_gate = 0;  ///< index of the first source gate
   std::size_t gate_count = 1;  ///< source gates folded into this op
   qir::Gate gate;              ///< kGate payload
   SingleQubitOp single;        ///< kSingle payload
-  std::vector<SingleQubitOp> gang;  ///< kGang payload, stream order
-  cplx two[4][4] = {};         ///< kTwoQubit payload (apply_two_qubit basis)
-  int a = 0, b = 0;            ///< kTwoQubit wires
 };
 
 /// A fused compilation of a gate stream: the same unitary as the source
 /// circuit, expressed as fewer amplitude sweeps.
 ///
-/// The greedy pass merges, in stream order:
-///  (a) runs of single-qubit gates on the same qubit into one 2x2 product,
-///  (b) windows of consecutive single-qubit gates on distinct qubits into a
-///      gang applied in one sweep (they commute exactly), and
-///  (c) adjacent gates acting within one qubit pair — 2q gates in either
-///      orientation plus interleaved 1q gates on the pair — into one 4x4.
-/// Multi-qubit gates (CCX, CSWAP, MCX) pass through unfused; a lone gate
-/// that nothing merges with also passes through to StateVector::apply_gate,
-/// so a lone CX, SWAP or controlled phase runs the subspace kernels, which
-/// touch only its control subspace.
+/// The pass scans windows of consecutive single-qubit gates, each stopped by
+/// a multi-qubit gate or a Barrier. A qubit that holds two or more of a
+/// window's gates gets one kSingle op, their 2x2 product, at the position of
+/// its first gate; every other gate passes through unchanged to
+/// StateVector::apply_gate. Gates on distinct qubits commute exactly, so the
+/// plan is the source unitary. That is the one merge that never costs a
+/// sweep: it replaces k sweeps on one wire with one 2x2 sweep (or, while the
+/// register tracks its support, one pass over the support), and every
+/// multi-qubit gate keeps its subspace kernel. A dense 4x4 product in place
+/// of CX swaps, or one gathered sweep over gates on distinct qubits, loses
+/// to those kernels and fills a sparse register's support, so the pass
+/// builds neither (docs/ARCHITECTURE.md, "Gate fusion", has the numbers).
 ///
 /// **Fences.** No fused op ever spans a Barrier gate, so at every barrier
 /// the register holds the unfused stream's state at that gate index (up to
@@ -71,19 +67,16 @@ struct FusedOp {
 /// stream from checkpoints taken on an unfused walk, because a fused state
 /// is only tolerance-equal to the unfused prefix, not bit-identical.
 ///
-/// **Floating point.** Merging gates multiplies their matrices, which
-/// reorders FP arithmetic: a fused run is tolerance-equal to the unfused one
-/// (~1e-13 per merged gate), not bit-identical. Gang ops whose entries are
-/// single unmerged gates apply the exact per-amplitude operation sequence of
-/// the unfused stream (the sweeps differ only in memory-access order).
-/// Replaying one plan always gives the same bits, tiled or not and in
-/// either kernel mode — see docs/ARCHITECTURE.md, "Gate fusion".
+/// **Floating point.** Multiplying a qubit's matrices reorders FP
+/// arithmetic, so a fused run is tolerance-equal to the unfused one (~1e-13
+/// per merged gate), not bit-identical. Wherever no qubit holds two gates
+/// of one window, the plan is the gate stream itself and the run IS
+/// bit-identical. Replaying one plan always gives the same bits in either
+/// kernel mode — see docs/ARCHITECTURE.md, "Gate fusion".
 class FusionPlan {
  public:
-  /// Plans the fused execution of `circuit`. Throws InvalidArgument if
-  /// `options.max_gang_qubits` is out of range.
-  static FusionPlan build(const qir::Circuit& circuit,
-                          const FusionOptions& options = {});
+  /// Plans the fused execution of `circuit`.
+  static FusionPlan build(const qir::Circuit& circuit);
 
   int num_qubits() const { return num_qubits_; }
   const std::vector<FusedOp>& ops() const { return ops_; }
@@ -94,11 +87,5 @@ class FusionPlan {
   std::vector<FusedOp> ops_;
   FusionStats stats_;
 };
-
-/// 4x4 matrix of `gate` acting on the wire pair (a, b), in the local basis
-/// convention of StateVector::apply_two_qubit (qubit `a` = low local bit).
-/// Accepts any single-qubit gate on a or b and any two-qubit gate on {a, b}
-/// in either orientation; throws InvalidArgument otherwise.
-void two_qubit_matrix(const qir::Gate& gate, int a, int b, cplx out[4][4]);
 
 }  // namespace tetris::sim

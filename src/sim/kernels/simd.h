@@ -2,11 +2,11 @@
 
 namespace tetris::sim::kernels {
 
-/// Instruction-set variant the 1q, diagonal, 4x4 and gang sweeps execute
-/// with. The mode never changes a byte: the AVX2 kernels perform the scalar
-/// kernels' products, roundings and summation order, only two complex
-/// amplitudes per register, so every result is bit-identical in both modes
-/// and the mode stays out of every cache key.
+/// Instruction-set variant the 1q and diagonal sweeps execute with. The
+/// mode never changes a byte: the AVX2 kernels perform the scalar kernels'
+/// products, roundings and summation order, only two complex amplitudes per
+/// register, so every result is bit-identical in both modes and the mode
+/// stays out of every cache key.
 enum class SimdMode {
   kScalar,  ///< reference kernels, plain std::complex arithmetic
   kAvx2,    ///< AVX2 kernels (x86-64, runtime-detected)

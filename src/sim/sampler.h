@@ -82,12 +82,13 @@ struct SampleOptions {
   /// counts.
   std::size_t shots_per_chunk = 256;
 
-  /// Fuse adjacent gates of the ideal (noise-free) run into combined
-  /// kernels (sim/fusion.h) so each amplitude sweep does more arithmetic
-  /// per byte. Only the ideal run is planned and fused; errored
+  /// Run the ideal (noise-free) run through a FusionPlan (sim/fusion.h):
+  /// each qubit's gates within a window of single-qubit gates multiply into
+  /// one 2x2, so the run takes fewer sweeps; every other gate runs as
+  /// unfused. Only the ideal run is planned and fused; errored
   /// trajectories replay the unfused gate stream gate by gate, from
   /// checkpoints that one extra unfused walk takes (see `sample`).
-  /// Fused sweeps reorder floating-point arithmetic, so fused counts are
+  /// A merged 2x2 reorders floating-point arithmetic, so fused counts are
   /// tolerance-equal — NOT bit-identical — to unfused ones; the knob is
   /// therefore off by default and, unlike `threads`, part of
   /// `service::flow_fingerprint`. With `fuse` fixed, counts remain

@@ -74,7 +74,6 @@ StateVector& StateVector::operator=(const StateVector& other) {
   if (this == &other) return *this;
   if (!sparse_ || !other.sparse_ || amps_.size() != other.amps_.size()) {
     num_qubits_ = other.num_qubits_;
-    tile_qubits_ = other.tile_qubits_;
     amps_ = other.amps_;
     support_ = other.support_;
     sparse_ = other.sparse_;
@@ -84,7 +83,6 @@ StateVector& StateVector::operator=(const StateVector& other) {
   for (std::size_t i : support_) amps_[i] = cplx(0.0, 0.0);
   for (std::size_t i : other.support_) amps_[i] = other.amps_[i];
   support_ = other.support_;
-  tile_qubits_ = other.tile_qubits_;
   return *this;
 }
 
@@ -179,7 +177,7 @@ void StateVector::apply_single_qubit(const cplx m[2][2], int q) {
       });
       return;
     }
-    kernels::sweep_diag(mode, amps, 0, amps_.size(), q, m00, m11);
+    kernels::sweep_diag(mode, amps, amps_.size(), q, m00, m11);
     return;
   }
   if (sparse_) {
@@ -188,7 +186,7 @@ void StateVector::apply_single_qubit(const cplx m[2][2], int q) {
   }
   // Pair index k interleaves (block, offset): i0 is k with a zero bit spliced
   // in at position q, so every k touches its own {i0, i1} pair.
-  kernels::sweep_1q(mode, amps, 0, amps_.size() / 2, q,
+  kernels::sweep_1q(mode, amps, amps_.size() / 2, q,
                     kernels::M2{m00, m01, m10, m11});
 }
 
@@ -199,64 +197,12 @@ void StateVector::run_subspace(const kernels::Subspace& s, Kernel kernel,
     sparse_pairs(s, pair);
     return;
   }
-  kernel(amps_.data(), 0, kernels::subspace_size(amps_.size(), s), s);
+  kernel(amps_.data(), kernels::subspace_size(amps_.size(), s), s);
 }
 
 void StateVector::apply_matrix(const cplx m[2][2], int q) {
   TETRIS_REQUIRE(q >= 0 && q < num_qubits_, "apply_matrix: qubit out of range");
-  densify();
   apply_single_qubit(m, q);
-}
-
-void StateVector::apply_gang(const std::vector<SingleQubitOp>& ops) {
-  densify();
-  if (ops.empty()) return;
-  const int k = static_cast<int>(ops.size());
-  TETRIS_REQUIRE(k <= kMaxGangQubits, "apply_gang: too many gang qubits");
-  for (const SingleQubitOp& op : ops) {
-    TETRIS_REQUIRE(op.qubit >= 0 && op.qubit < num_qubits_,
-                   "apply_gang: qubit out of range");
-  }
-  // Duplicate check here; the execution plan (sorted qubits, block offsets,
-  // per-op local positions) is built by the kernel layer.
-  std::vector<int> sorted(static_cast<std::size_t>(k));
-  for (int j = 0; j < k; ++j) sorted[static_cast<std::size_t>(j)] = ops[static_cast<std::size_t>(j)].qubit;
-  std::sort(sorted.begin(), sorted.end());
-  for (int j = 0; j + 1 < k; ++j) {
-    TETRIS_REQUIRE(sorted[static_cast<std::size_t>(j)] !=
-                       sorted[static_cast<std::size_t>(j) + 1],
-                   "apply_gang: duplicate qubit");
-  }
-  const kernels::GangPlan plan = kernels::make_gang_plan(ops.data(), ops.size());
-  kernels::sweep_gang(kernels::simd_mode(), amps_.data(), 0, amps_.size() >> k,
-                      plan);
-}
-
-void StateVector::apply_two_qubit(const cplx m[4][4], int a, int b) {
-  TETRIS_REQUIRE(a >= 0 && a < num_qubits_ && b >= 0 && b < num_qubits_,
-                 "apply_two_qubit: qubit out of range");
-  TETRIS_REQUIRE(a != b, "apply_two_qubit: qubits must be distinct");
-  densify();
-  kernels::M4 m4;
-  for (int r = 0; r < 4; ++r) {
-    for (int c = 0; c < 4; ++c) m4.v[r * 4 + c] = m[r][c];
-  }
-  cplx* amps = amps_.data();
-  const kernels::SimdMode mode = kernels::simd_mode();
-  // Monomial fast path: exactly one nonzero per row (and per column — the
-  // matrix is unitary up to the caller), which covers every product of
-  // permutation and phase gates: CX/CZ/CP/CRZ/SWAP runs, X/Z/S/T/RZ on the
-  // pair, and their mixtures. One multiply per amplitude instead of the
-  // dense 16-multiply row sums; the dropped terms are exact zeros, so only
-  // zero signs can differ from the dense path.
-  int src[4] = {0, 0, 0, 0};
-  cplx coef[4];
-  if (kernels::monomial_decompose(m4, src, coef)) {
-    kernels::sweep_2q_monomial(mode, amps, 0, amps_.size() / 4, a, b, src,
-                               coef);
-    return;
-  }
-  kernels::sweep_2q(mode, amps, 0, amps_.size() / 4, a, b, m4);
 }
 
 void StateVector::apply_gate(const qir::Gate& gate) {
@@ -306,9 +252,9 @@ void StateVector::apply_gate(const qir::Gate& gate) {
                           gate.params, m);
       const auto scale = [this](const kernels::Subspace& s, cplx c) {
         run_subspace(s,
-                     [c](cplx* amps, std::size_t begin, std::size_t end,
+                     [c](cplx* amps, std::size_t count,
                          const kernels::Subspace& sub) {
-                       kernels::sweep_scale(amps, begin, end, sub, c);
+                       kernels::sweep_scale(amps, count, sub, c);
                      },
                      scale_pair(c));
       };
@@ -322,9 +268,9 @@ void StateVector::apply_gate(const qir::Gate& gate) {
                           gate.params, m);
       const kernels::M2 m2{m[0][0], m[0][1], m[1][0], m[1][1]};
       run_subspace({wires, controls, last},
-                   [&m2](cplx* amps, std::size_t begin, std::size_t end,
+                   [&m2](cplx* amps, std::size_t count,
                          const kernels::Subspace& s) {
-                     kernels::sweep_controlled_1q(amps, begin, end, s, m2);
+                     kernels::sweep_controlled_1q(amps, count, s, m2);
                    },
                    matrix_pair(m2));
       return;
@@ -355,7 +301,7 @@ void StateVector::apply_pauli(char pauli, int q) {
     if (pauli == 'Z') sparse_pairs({bit, bit, 0}, scale_pair(cplx(-1.0, 0.0)));
     return;
   }
-  kernels::sweep_pauli(pauli, amps_.data(), 0, amps_.size() / 2, q);
+  kernels::sweep_pauli(pauli, amps_.data(), amps_.size() / 2, q);
 }
 
 std::vector<double> StateVector::probabilities() const {

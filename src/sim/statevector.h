@@ -11,17 +11,9 @@ namespace tetris::sim {
 using cplx = std::complex<double>;
 
 class FusionPlan;  // sim/fusion.h
-struct FusedOp;    // sim/fusion.h
 namespace kernels {
 struct Subspace;   // sim/kernels/kernels.h
 }
-
-/// One 2x2 matrix bound to one qubit — the unit of a fused gang sweep
-/// (StateVector::apply_gang) and of the fusion pass (sim/fusion.h).
-struct SingleQubitOp {
-  cplx m[2][2] = {};
-  int qubit = 0;
-};
 
 /// Dense state-vector simulator.
 ///
@@ -42,8 +34,8 @@ struct SingleQubitOp {
 /// sign of a zero, and `sample` sums the support's norms in index order, so
 /// it draws the dense scan's index. A compiled RevLib view holds at most 16
 /// nonzero amplitudes (Table-I `rd84`: at most 12 of 4096), so its gates
-/// cost a few entries instead of 2^n. Past the limit, and on `apply_fused`,
-/// `apply_gang`, `apply_two_qubit`, `apply_matrix` and `normalize`, the
+/// cost a few entries instead of 2^n. `apply_matrix` and `apply_fused`
+/// track the support the same way. Past the limit, and on `normalize`, the
 /// list is dropped and the dense kernels below run until the next reset.
 ///
 /// Every gate runs on the calling thread as one call over its whole index
@@ -52,8 +44,8 @@ struct SingleQubitOp {
 /// registers keep every core busy; a single register is never split.
 ///
 /// The sweeps themselves go through the kernel layer
-/// (sim/kernels/kernels.h). The 1q, diagonal, 4x4 and gang sweeps dispatch
-/// on `kernels::simd_mode()`, which never changes a byte: the AVX2 kernels
+/// (sim/kernels/kernels.h). The 1q and diagonal sweeps dispatch on
+/// `kernels::simd_mode()`, which never changes a byte: the AVX2 kernels
 /// compute the scalar kernels' bits, and the subspace kernels have one
 /// flavour for both modes. See docs/ARCHITECTURE.md, "Kernel layer".
 ///
@@ -104,44 +96,20 @@ class StateVector {
   void apply_circuit(const qir::Circuit& circuit);
 
   /// Applies every op of a fusion plan (sim/fusion.h) in order — the fused
-  /// equivalent of apply_circuit on the plan's source circuit. The plan width
-  /// must not exceed the register width. Fused kernels reorder floating-point
-  /// arithmetic relative to the gate-by-gate sweeps, so the result is
-  /// tolerance-equal — not bit-identical — to apply_circuit (a plan built
-  /// with a fence before every gate degenerates to apply_gate calls and IS
-  /// bit-identical). Replaying the SAME plan always gives the same bits.
-  ///
-  /// When the register is wider than `tile_qubits()`, runs of consecutive
-  /// tile-local ops (every qubit below the tile width) execute tile by tile:
-  /// each 2^tile_qubits-amplitude slab is loaded once and swept by the whole
-  /// run while L2-resident, instead of streaming the full vector once per
-  /// op. Tiling only reorders memory traversal — each amplitude sees the
-  /// identical arithmetic sequence — so tiled output is bit-identical to
-  /// untiled.
+  /// equivalent of apply_circuit on the plan's source circuit: each kSingle
+  /// through apply_matrix, each passthrough through apply_gate. The plan
+  /// width must not exceed the register width. A merged 2x2 reorders
+  /// floating-point arithmetic relative to the gate-by-gate sweeps, so the
+  /// result is tolerance-equal — not bit-identical — to apply_circuit (a
+  /// plan that merges nothing IS bit-identical). Replaying the SAME plan
+  /// always gives the same bits.
   void apply_fused(const FusionPlan& plan);
 
-  /// Applies an arbitrary 2x2 matrix to qubit q in one amplitude sweep (the
-  /// public face of the single-qubit kernel; apply_gate routes the named 1q
-  /// kinds other than the Paulis through the same loop).
+  /// Applies an arbitrary 2x2 matrix to qubit q in one amplitude sweep, or
+  /// on the support while sparse (the public face of the single-qubit
+  /// kernel; apply_gate routes the named 1q kinds other than the Paulis
+  /// through the same path).
   void apply_matrix(const cplx m[2][2], int q);
-
-  /// Applies each op's 2x2 to its qubit in ONE amplitude sweep. Qubits must
-  /// be distinct, in range, and at most kMaxGangQubits many; ops are applied
-  /// in vector order (they commute exactly — all on distinct qubits). Each
-  /// 2^k-amplitude block is gathered once, transformed in cache, and
-  /// scattered back: k gates for the memory traffic of one.
-  void apply_gang(const std::vector<SingleQubitOp>& ops);
-
-  /// Applies an arbitrary 4x4 matrix to the qubit pair (a, b), a != b, in
-  /// one amplitude sweep. The local basis index of the 4-dim subspace is
-  /// `(bit_b << 1) | bit_a` — qubit `a` is the LOW local bit, whatever the
-  /// relative wire order of a and b. `sim::two_qubit_matrix` (fusion.h)
-  /// builds matrices in this convention.
-  void apply_two_qubit(const cplx m[4][4], int a, int b);
-
-  /// Largest gang sweep apply_gang accepts (2^6 = 64 amplitudes of scratch
-  /// per block — comfortably in L1).
-  static constexpr int kMaxGangQubits = 6;
 
   /// Applies a single Pauli ('I', 'X', 'Y' or 'Z') to qubit q — the noise
   /// channel injection primitive for trajectory simulation. Calls the
@@ -164,19 +132,9 @@ class StateVector {
   /// Max |amp_i - other.amp_i| — used by tests for exactness checks.
   double max_abs_diff(const StateVector& other) const;
 
-  /// Renormalizes (guards against drift in long trajectories).
+  /// Renormalizes (guards against drift in long trajectories). Drops the
+  /// support list, so the dense kernels run until the next reset.
   void normalize();
-
-  /// Overrides the tile width (in qubits) of apply_fused's cache blocking.
-  /// Tests shrink it to exercise tiling on small registers; anything at or
-  /// above num_qubits() disables tiling. Purely a traversal-order knob —
-  /// never changes bits.
-  void set_tile_qubits(int qubits) { tile_qubits_ = qubits; }
-  int tile_qubits() const { return tile_qubits_; }
-
-  /// Default tile: 2^13 amplitudes = 128 KiB — comfortably L2-resident with
-  /// room for the rest of the working set.
-  static constexpr int kDefaultTileQubits = 13;
 
  private:
   void apply_single_qubit(const cplx m[2][2], int q);
@@ -196,22 +154,13 @@ class StateVector {
   template <typename PairOp>
   void sparse_pairs(const kernels::Subspace& s, PairOp pair);
 
-  /// Applies one fused op (the unit apply_fused iterates) to the full
-  /// register (defined in fusion.cpp, where FusedOp is complete).
-  void apply_fused_op(const FusedOp& op);
-
-  /// Runs `kernel(amps, begin, end, s)` over every index of the subspace
+  /// Runs `kernel(amps, count, s)` over every index of the subspace
   /// `s` — the permutation and controlled gates (sim/kernels/kernels.h) —
   /// or, while sparse, `pair` over the support's pairs (sparse_pairs).
   template <typename Kernel, typename PairOp>
   void run_subspace(const kernels::Subspace& s, Kernel kernel, PairOp pair);
 
-  /// Executes `count` consecutive tile-local fused ops tile by tile
-  /// (defined in fusion.cpp, where FusedOp is complete).
-  void apply_tiled_run(const FusedOp* ops, std::size_t count);
-
   int num_qubits_;
-  int tile_qubits_ = kDefaultTileQubits;
   std::vector<cplx> amps_;
   /// While sparse: every index whose amplitude is nonzero, each once, in no
   /// particular order. Empty once dense.

@@ -30,8 +30,8 @@ class ModeGuard {
 };
 
 /// A dense circuit touching every qubit of an n-wide register: same-qubit
-/// runs (1q fusion), distinct-qubit rows (gangs), 2q pair windows, and a CCX
-/// passthrough — every kernel family fires.
+/// runs (a fused 2x2 each), rows of one gate per qubit (passthroughs), a CX
+/// chain, diagonals, and a CCX — every kernel family fires.
 qir::Circuit dense_circuit(int n, std::uint64_t seed) {
   qir::Circuit c(n);
   Rng rng(seed);
@@ -73,14 +73,6 @@ long first_byte_mismatch(const StateVector& a, const StateVector& b) {
   return -1;
 }
 
-/// Pseudorandom (but deterministic, mode-independent) amplitude fill.
-std::vector<cplx> random_amps(std::size_t n, std::uint64_t seed) {
-  std::vector<cplx> amps(n);
-  Rng rng(seed);
-  for (auto& a : amps) a = cplx(rng.uniform() - 0.5, rng.uniform() - 0.5);
-  return amps;
-}
-
 // ------------------------------------------------------------ mode plumbing
 
 TEST(Simd, ModeQueryAndOverride) {
@@ -101,7 +93,7 @@ TEST(Simd, ModeQueryAndOverride) {
 
 // The AVX2 kernels compute the scalar kernels' bits, so the two modes agree
 // byte for byte on every amplitude: at odd widths and at 14 qubits, fused
-// (gang and 4x4 sweeps) and gate by gate (1q and diagonal sweeps).
+// (merged 2x2 sweeps) and gate by gate (1q and diagonal sweeps).
 TEST(SimdDifferential, ScalarVsAvx2AtOddWidths) {
   if (!kernels::avx2_available()) GTEST_SKIP() << "no AVX2 on this host";
   for (int n : {5, 7, 9, 11, 13, 14}) {
@@ -135,93 +127,6 @@ TEST(SimdDifferential, TargetQubitInsideAndOutsideLaneWidth) {
       }
     }
   }
-}
-
-// The AVX2 kernels use a fixed per-element instruction sequence, so where a
-// range boundary falls must not change a single bit — the region contract
-// that lets a cache tile reuse the whole-vector kernels. Split every kernel's
-// index range at an odd point (vector body on one side, 128-bit tail on the
-// other) and compare against the unsplit sweep.
-TEST(SimdKernels, ChunkSplitIsBitIdentical) {
-  if (!kernels::avx2_available()) GTEST_SKIP() << "no AVX2 on this host";
-  // 6 qubits: 64 amplitudes, 32 pairs, 16 quads.
-  const kernels::M2 m{cplx(0.6, 0.1), cplx(-0.3, 0.7), cplx(0.7, 0.3),
-                      cplx(0.1, -0.6)};
-  for (int q : {0, 1, 4}) {
-    auto whole = random_amps(64, 7);
-    auto split = whole;
-    kernels::sweep_1q_avx2(whole.data(), 0, 32, q, m);
-    kernels::sweep_1q_avx2(split.data(), 0, 13, q, m);
-    kernels::sweep_1q_avx2(split.data(), 13, 32, q, m);
-    for (std::size_t i = 0; i < whole.size(); ++i) {
-      EXPECT_EQ(whole[i], split[i]) << "1q q=" << q << " i=" << i;
-    }
-  }
-  kernels::M4 m4{};
-  Rng rng(11);
-  for (auto& v : m4.v) v = cplx(rng.uniform() - 0.5, rng.uniform() - 0.5);
-  auto whole = random_amps(64, 9);
-  auto split = whole;
-  kernels::sweep_2q_avx2(whole.data(), 0, 16, 1, 3, m4);
-  kernels::sweep_2q_avx2(split.data(), 0, 5, 1, 3, m4);
-  kernels::sweep_2q_avx2(split.data(), 5, 16, 1, 3, m4);
-  for (std::size_t i = 0; i < whole.size(); ++i) {
-    EXPECT_EQ(whole[i], split[i]) << "2q i=" << i;
-  }
-}
-
-// A gang of k unmerged 2x2s must reproduce k consecutive 1q sweeps
-// amplitude-for-amplitude IN BOTH MODES — the property the sampler's
-// fused-vs-unfused bit-identity pin (SamplerFused) leans on.
-TEST(SimdKernels, GangMatchesSequential1qSweepsBitwise) {
-  std::vector<SingleQubitOp> ops;
-  Rng rng(13);
-  for (int q : {0, 2, 3}) {
-    SingleQubitOp op;
-    op.qubit = q;
-    for (auto& row : op.m) {
-      for (auto& v : row) v = cplx(rng.uniform() - 0.5, rng.uniform() - 0.5);
-    }
-    ops.push_back(op);
-  }
-  const auto plan = kernels::make_gang_plan(ops.data(), ops.size());
-  const std::size_t dim = 32;  // 5 qubits
-  std::vector<SimdMode> modes = {SimdMode::kScalar};
-  if (kernels::avx2_available()) modes.push_back(SimdMode::kAvx2);
-  for (SimdMode mode : modes) {
-    auto ganged = random_amps(dim, 17);
-    auto stepwise = ganged;
-    kernels::sweep_gang(mode, ganged.data(), 0, dim >> ops.size(), plan);
-    for (const auto& op : ops) {
-      const kernels::M2 m{op.m[0][0], op.m[0][1], op.m[1][0], op.m[1][1]};
-      kernels::sweep_1q(mode, stepwise.data(), 0, dim >> 1, op.qubit, m);
-    }
-    for (std::size_t i = 0; i < dim; ++i) {
-      EXPECT_EQ(ganged[i], stepwise[i])
-          << kernels::simd_mode_name(mode) << " i=" << i;
-    }
-  }
-}
-
-TEST(Kernels, MonomialDecompose) {
-  kernels::M4 cxm{};  // CX with a=control: |b a> -> basis (b<<1)|a
-  cxm.v[0 * 4 + 0] = 1.0;
-  cxm.v[1 * 4 + 3] = 1.0;  // a=1,b=0 -> a=1,b=1
-  cxm.v[2 * 4 + 2] = 1.0;
-  cxm.v[3 * 4 + 1] = 1.0;
-  int src[4];
-  cplx coef[4];
-  ASSERT_TRUE(kernels::monomial_decompose(cxm, src, coef));
-  EXPECT_EQ(src[0], 0);
-  EXPECT_EQ(src[1], 3);
-  EXPECT_EQ(src[2], 2);
-  EXPECT_EQ(src[3], 1);
-
-  kernels::M4 dense{};  // a Hadamard row: two nonzeros -> not monomial
-  dense.v[0] = dense.v[1] = cplx(0.5, 0.0);
-  EXPECT_FALSE(kernels::monomial_decompose(dense, src, coef));
-  kernels::M4 zero{};  // zero row -> not monomial
-  EXPECT_FALSE(kernels::monomial_decompose(zero, src, coef));
 }
 
 // ------------------------------------- permutation and controlled kernels
@@ -302,10 +207,10 @@ void oracle_apply(std::vector<cplx>& amps, const qir::Gate& gate,
     default: {
       single_qubit_matrix(gate.kind, gate.params, m);
       if (m[0][1] == cplx(0.0, 0.0) && m[1][0] == cplx(0.0, 0.0)) {
-        kernels::sweep_diag(mode, amps.data(), 0, amps.size(), qs[0], m[0][0],
+        kernels::sweep_diag(mode, amps.data(), amps.size(), qs[0], m[0][0],
                             m[1][1]);
       } else {
-        kernels::sweep_1q(mode, amps.data(), 0, amps.size() / 2, qs[0],
+        kernels::sweep_1q(mode, amps.data(), amps.size() / 2, qs[0],
                           kernels::M2{m[0][0], m[0][1], m[1][0], m[1][1]});
       }
       return;
@@ -408,124 +313,6 @@ TEST(SubspaceKernels, MatchOraclePerAmplitude) {
                            << bad;
       }
     }
-  }
-}
-
-// A chunk boundary anywhere in the subspace index range — mid-run or on a
-// run edge — must not change a bit: split the range at each point and
-// compare with the unsplit sweeps.
-TEST(SubspaceKernels, ChunkSplitIsBitIdentical) {
-  const std::size_t dim = 64;  // 6 qubits
-  const kernels::M2 h{cplx(0.6, 0.1), cplx(-0.3, 0.7), cplx(0.7, 0.3),
-                      cplx(0.1, -0.6)};
-  const std::vector<kernels::Subspace> shapes = {
-      {0b000011, 0b000001, 0b000010},   // CX control 0, target 1
-      {0b100100, 0b100000, 0b000100},   // CX control 5, target 2
-      {0b010110, 0b000110, 0b010010},   // CSWAP control 2, (1, 4)
-      {0b000001, 0b000000, 0b000001},   // X on qubit 0
-  };
-  // Subspace indices touch disjoint amplitudes, so the four kernels over
-  // [0, cut) then over [cut, count) equal them over the whole range.
-  const auto sweep_all = [&](std::vector<cplx>& amps, std::size_t begin,
-                             std::size_t end, const kernels::Subspace& s) {
-    kernels::sweep_swap(amps.data(), begin, end, s);
-    kernels::sweep_scale(amps.data(), begin, end, s, cplx(0.3, -0.8));
-    kernels::sweep_controlled_1q(amps.data(), begin, end, s, h);
-    kernels::sweep_swap_y(amps.data(), begin, end, s);
-  };
-  for (const kernels::Subspace& s : shapes) {
-    const std::size_t count = kernels::subspace_size(dim, s);
-    auto whole = random_amps(dim, 31);
-    sweep_all(whole, 0, count, s);
-    for (std::size_t cut = 0; cut <= count; ++cut) {
-      auto split = random_amps(dim, 31);
-      sweep_all(split, 0, cut, s);
-      sweep_all(split, cut, count, s);
-      ASSERT_EQ(first_mismatch(split, whole), -1)
-          << "spliced=" << s.spliced << " cut=" << cut;
-    }
-  }
-}
-
-// ------------------------------------------------------------ cache tiling
-
-// Tiling only reorders traversal, so tiled output is bit-identical to
-// untiled within a mode — at widths below, at, and above the tile width.
-TEST(Tiling, TiledMatchesUntiledBitwise) {
-  std::vector<SimdMode> modes = {SimdMode::kScalar};
-  if (kernels::avx2_available()) modes.push_back(SimdMode::kAvx2);
-  for (SimdMode mode : modes) {
-    ModeGuard guard;
-    kernels::set_simd_mode(mode);
-    for (int n : {2, 3, 5, 8}) {  // tile=3: below, at, above, far above
-      auto c = dense_circuit(n, 1000 + static_cast<std::uint64_t>(n));
-      const auto plan = FusionPlan::build(c);
-      StateVector untiled(n);
-      untiled.set_tile_qubits(n);  // at-or-above width disables tiling
-      untiled.apply_fused(plan);
-      StateVector tiled(n);
-      tiled.set_tile_qubits(3);
-      tiled.apply_fused(plan);
-      EXPECT_EQ(tiled.max_abs_diff(untiled), 0.0)
-          << kernels::simd_mode_name(mode) << " n=" << n;
-    }
-  }
-}
-
-// High-qubit gates fence tile-local runs; the greedy splitter must still
-// produce the same bits when tile-local runs are length 0, 1, and >= 2.
-TEST(Tiling, MixedLocalAndGlobalOps) {
-  ModeGuard guard;
-  kernels::set_simd_mode(SimdMode::kScalar);
-  qir::Circuit c(6);
-  c.h(5);                      // never tile-local at tile=2
-  c.h(0).rz(0.4, 1);           // local run of one gang
-  c.cx(4, 5);                  // global fence
-  c.h(1).t(0).sx(1).ry(0.2, 0);  // local pair-window run
-  c.cx(0, 1);
-  const auto plan = FusionPlan::build(c);
-  StateVector untiled(6);
-  untiled.set_tile_qubits(6);
-  untiled.apply_fused(plan);
-  StateVector tiled(6);
-  tiled.set_tile_qubits(2);
-  tiled.apply_fused(plan);
-  EXPECT_EQ(tiled.max_abs_diff(untiled), 0.0);
-}
-
-// Lone X/Y/Z passthroughs run the Pauli kernel inside a tile exactly as on
-// the whole array, so tiled output matches untiled to the bit — zero signs
-// included, which max_abs_diff cannot see. Half the register stays |0>, so
-// the state is full of exact zeros.
-TEST(Tiling, LonePaulisMatchUntiledToTheBit) {
-  std::vector<SimdMode> modes = {SimdMode::kScalar};
-  if (kernels::avx2_available()) modes.push_back(SimdMode::kAvx2);
-  qir::Circuit c(6);
-  c.h(0).h(1).rz(0.3, 2);
-  c.cx(0, 1).cz(0, 1).x(2).cx(1, 2).cz(1, 2).y(0);
-  c.cx(0, 2).cp(0.3, 0, 2).z(1).cx(2, 1).cz(2, 1).x(0);
-  c.cx(0, 1).cz(0, 1);
-  const auto plan = FusionPlan::build(c);
-  std::size_t lone_paulis = 0;
-  for (const FusedOp& op : plan.ops()) {
-    if (op.kind == FusedOp::Kind::kGate && op.gate.qubits.size() == 1) {
-      ++lone_paulis;
-    }
-  }
-  ASSERT_EQ(lone_paulis, 4u);  // x(2), y(0), z(1), x(0) pass through alone
-  for (SimdMode mode : modes) {
-    ModeGuard guard;
-    kernels::set_simd_mode(mode);
-    StateVector untiled(6);
-    untiled.set_tile_qubits(6);
-    untiled.apply_fused(plan);
-    StateVector tiled(6);
-    tiled.set_tile_qubits(3);
-    tiled.apply_fused(plan);
-    EXPECT_EQ(std::memcmp(tiled.amplitudes().data(), untiled.amplitudes().data(),
-                          tiled.dim() * sizeof(cplx)),
-              0)
-        << kernels::simd_mode_name(mode);
   }
 }
 

@@ -307,15 +307,15 @@ TEST(SamplerEdge, EmptyCircuitSamplesAllZeros) {
 }
 
 TEST(SamplerFused, NoisyHistogramBitIdenticalFusedVsUnfused) {
-  // Pin of `fuse` under gate noise on an EXACTLY fusible circuit: rows
-  // where each qubit appears once (gangs of unmerged singles — the exact
-  // per-amplitude arithmetic of the unfused stream), CCX passthroughs, and
-  // lone CXs (the next gate is outside the pair, so no 4x4 matrix product
-  // forms). With no inexact fusion anywhere, the fused ideal run that serves
-  // the error-free shots is bit-identical to the unfused one, and errored
-  // shots replay the unfused gate stream either way — so the histograms
-  // must match EXACTLY, in both SIMD modes. An ideal run that drifted from
-  // the unfused stream by even one ULP would flip threshold comparisons and
+  // Pin of `fuse` under gate noise on circuits where no qubit holds two
+  // gates of one single-qubit window, so the plan merges nothing: rows where
+  // each qubit appears once, CCX passthroughs, lone CXs, and pair windows
+  // (a CX followed by rotations on its wires, CX-CX on one pair) that keep
+  // their subspace kernels. The fused ideal run that serves the error-free
+  // shots is then bit-identical to the unfused one, and errored shots
+  // replay the unfused gate stream either way — so the histograms must
+  // match EXACTLY, in both SIMD modes. An ideal run that drifted from the
+  // unfused stream by even one ULP would flip threshold comparisons and
   // fail it.
   qir::Circuit c(4);
   c.h(0).h(1).h(2).h(3);
@@ -330,6 +330,13 @@ TEST(SamplerFused, NoisyHistogramBitIdenticalFusedVsUnfused) {
   c.cx(0, 3);
   c.s(1);  // outside {0, 3}
 
+  qir::Circuit pairs(4);
+  pairs.h(0).h(1).h(2).h(3);
+  pairs.cx(0, 1).rx(0.4, 0).ry(0.9, 1);
+  pairs.cx(2, 3).cx(3, 2).sx(3).rz(0.6, 2);
+  pairs.cx(1, 2).h(1).ry(1.3, 2).t(0);
+  pairs.cx(0, 3).cz(0, 3).rx(2.2, 0);
+
   NoiseModel noise;
   noise.p1 = 0.03;  // ~half the 1000 shots carry at least one injection
   noise.p2 = 0.06;
@@ -341,15 +348,17 @@ TEST(SamplerFused, NoisyHistogramBitIdenticalFusedVsUnfused) {
   const kernels::SimdMode saved = kernels::simd_mode();
   for (kernels::SimdMode mode : modes) {
     kernels::set_simd_mode(mode);
-    SampleOptions fused_opts, unfused_opts;
-    fused_opts.shots = unfused_opts.shots = 1000;
-    fused_opts.fuse = true;
-    unfused_opts.fuse = false;
-    Rng rng_a(555), rng_b(555);
-    auto fused = sample(c, noise, rng_a, fused_opts);
-    auto unfused = sample(c, noise, rng_b, unfused_opts);
-    EXPECT_EQ(fused.histogram, unfused.histogram)
-        << kernels::simd_mode_name(mode);
+    for (const qir::Circuit* circuit : {&c, &pairs}) {
+      SampleOptions fused_opts, unfused_opts;
+      fused_opts.shots = unfused_opts.shots = 1000;
+      fused_opts.fuse = true;
+      unfused_opts.fuse = false;
+      Rng rng_a(555), rng_b(555);
+      auto fused = sample(*circuit, noise, rng_a, fused_opts);
+      auto unfused = sample(*circuit, noise, rng_b, unfused_opts);
+      EXPECT_EQ(fused.histogram, unfused.histogram)
+          << kernels::simd_mode_name(mode) << (circuit == &pairs ? " pairs" : "");
+    }
   }
   kernels::set_simd_mode(saved);
 }

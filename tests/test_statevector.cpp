@@ -255,104 +255,6 @@ TEST(StateVector, ApplyGateRejectsRepeatedQubits) {
   EXPECT_THROW(sv.apply_pauli('X', 4), InvalidArgument);
 }
 
-// ------------------------------------------------------- apply_two_qubit
-
-/// Prepares a non-trivial product+entangled state on `n` qubits.
-StateVector scrambled_state(int n, std::uint64_t seed) {
-  StateVector sv(n);
-  Rng rng(seed);
-  for (int q = 0; q < n; ++q) {
-    sv.apply_gate(qir::make_h(q));
-    sv.apply_gate(qir::make_rz(rng.uniform() * 3.0, q));
-  }
-  for (int q = 0; q + 1 < n; ++q) sv.apply_gate(qir::make_cx(q, q + 1));
-  return sv;
-}
-
-/// out = lhs * rhs for the 4x4 local matrices of apply_two_qubit.
-void matmul4(const cplx lhs[4][4], const cplx rhs[4][4], cplx out[4][4]) {
-  for (int r = 0; r < 4; ++r) {
-    for (int c = 0; c < 4; ++c) {
-      cplx acc(0.0, 0.0);
-      for (int k = 0; k < 4; ++k) acc += lhs[r][k] * rhs[k][c];
-      out[r][c] = acc;
-    }
-  }
-}
-
-TEST(ApplyTwoQubit, MatchesGateKernelsOnAdjacentAndNonAdjacentPairs) {
-  // Every 2q kind, on an adjacent pair, a non-adjacent pair, and with the
-  // (a, b) roles swapped — the matrix convention must track the argument
-  // order, not the wire order.
-  const std::vector<qir::Gate> gates = {
-      qir::make_cx(0, 1),       qir::make_cx(1, 0),
-      qir::make_cz(0, 2),       qir::make_cy(2, 0),
-      qir::make_ch(1, 3),       qir::make_cp(0.8, 3, 1),
-      qir::make_crz(1.1, 0, 3), qir::make_swap(1, 2)};
-  for (const auto& g : gates) {
-    const int a = g.qubits[0];
-    const int b = g.qubits[1];
-    cplx m[4][4];
-    two_qubit_matrix(g, a, b, m);
-
-    StateVector via_matrix = scrambled_state(4, 5);
-    StateVector via_gate = scrambled_state(4, 5);
-    via_matrix.apply_two_qubit(m, a, b);
-    via_gate.apply_gate(g);
-    EXPECT_LT(via_matrix.max_abs_diff(via_gate), 1e-12) << g.to_string();
-
-    // Same matrix addressed with swapped (a, b) arguments must equal the
-    // gate embedded with swapped roles.
-    cplx swapped[4][4];
-    two_qubit_matrix(g, b, a, swapped);
-    StateVector via_swapped = scrambled_state(4, 5);
-    via_swapped.apply_two_qubit(swapped, b, a);
-    EXPECT_LT(via_swapped.max_abs_diff(via_gate), 1e-12) << g.to_string();
-  }
-}
-
-TEST(ApplyTwoQubit, HighAndLowBitOrderings) {
-  // a above b and b above a, including the top wire, on a 5-qubit register.
-  for (auto [a, b] : std::vector<std::pair<int, int>>{{4, 0}, {0, 4}, {3, 1}}) {
-    auto g = qir::make_cx(a, b);
-    cplx m[4][4];
-    two_qubit_matrix(g, a, b, m);
-    StateVector via_matrix = scrambled_state(5, 9);
-    StateVector via_gate = scrambled_state(5, 9);
-    via_matrix.apply_two_qubit(m, a, b);
-    via_gate.apply_gate(g);
-    EXPECT_LT(via_matrix.max_abs_diff(via_gate), 1e-12)
-        << "a=" << a << " b=" << b;
-  }
-}
-
-TEST(ApplyTwoQubit, ProductMatrixEqualsTwoGateDecomposition) {
-  // m = U_h(b) * U_cz: one fused 4x4 application == cz then h(b), the
-  // textbook two-gate decomposition check.
-  const int a = 2, b = 0;
-  cplx m_cz[4][4], m_h[4][4], m[4][4];
-  two_qubit_matrix(qir::make_cz(a, b), a, b, m_cz);
-  two_qubit_matrix(qir::make_h(b), a, b, m_h);
-  matmul4(m_h, m_cz, m);
-
-  StateVector fused = scrambled_state(3, 21);
-  StateVector stepwise = scrambled_state(3, 21);
-  fused.apply_two_qubit(m, a, b);
-  stepwise.apply_gate(qir::make_cz(a, b));
-  stepwise.apply_gate(qir::make_h(b));
-  EXPECT_LT(fused.max_abs_diff(stepwise), 1e-12);
-}
-
-TEST(ApplyTwoQubit, ValidatesItsArguments) {
-  StateVector sv(3);
-  cplx m[4][4] = {};
-  for (int i = 0; i < 4; ++i) m[i][i] = 1.0;
-  EXPECT_THROW(sv.apply_two_qubit(m, 1, 1), InvalidArgument);
-  EXPECT_THROW(sv.apply_two_qubit(m, 0, 3), InvalidArgument);
-  EXPECT_THROW(sv.apply_two_qubit(m, -1, 2), InvalidArgument);
-  EXPECT_NO_THROW(sv.apply_two_qubit(m, 2, 0));
-}
-
 // ------------------------------------------------------ support tracking
 
 /// One step of a sparse-vs-dense run: a gate, or a Pauli injection when
@@ -405,16 +307,14 @@ std::vector<Step> random_steps(int n, std::size_t count, Rng& rng,
   return steps;
 }
 
-/// The dense reference: a one-gate plan densifies the register, then runs
-/// apply_gate's dense kernels; an empty plan densifies before an injection.
-void apply_dense(StateVector& sv, const Step& step) {
-  qir::Circuit one(sv.num_qubits());
-  if (step.pauli == 0) one.add(step.gate);
-  sv.apply_fused(FusionPlan::build(one));
-  if (step.pauli != 0) sv.apply_pauli(step.pauli, step.qubit);
+/// The dense reference: |index> with its support list dropped, so every
+/// later gate runs the dense kernels (normalize is exact on a basis state).
+void set_dense_basis(StateVector& sv, std::size_t index) {
+  sv.set_basis_state(index);
+  sv.normalize();
 }
 
-void apply_tracked(StateVector& sv, const Step& step) {
+void apply_step(StateVector& sv, const Step& step) {
   if (step.pauli == 0) {
     sv.apply_gate(step.gate);
   } else {
@@ -482,20 +382,20 @@ TEST(SparseSupport, MatchesDenseKernelsAtEveryStep) {
       const std::size_t basis = rng.index(std::size_t{1} << n);
       StateVector tracked(n), dense(n);
       tracked.set_basis_state(basis);
-      dense.set_basis_state(basis);
+      set_dense_basis(dense, basis);
       for (std::size_t i = 0; i < steps.size(); ++i) {
-        apply_tracked(tracked, steps[i]);
-        apply_dense(dense, steps[i]);
+        apply_step(tracked, steps[i]);
+        apply_step(dense, steps[i]);
         expect_same_bits(tracked, dense, true, where + ", step " + std::to_string(i));
         if (HasFatalFailure()) return;
       }
       if (trial != 1) continue;
       // Back to a basis state after densifying: tracking resumes.
       tracked.reset();
-      dense.reset();
+      set_dense_basis(dense, 0);
       for (const Step& step : random_steps(n, 40, rng)) {
-        apply_tracked(tracked, step);
-        apply_dense(dense, step);
+        apply_step(tracked, step);
+        apply_step(dense, step);
       }
       expect_same_bits(tracked, dense, true, where + ", after reset");
       if (HasFatalFailure()) return;
@@ -513,15 +413,44 @@ TEST(SparseSupport, SampleDrawsTheDenseIndex) {
       StateVector tracked(n), dense(n);
       const std::size_t basis = rng.index(std::size_t{1} << n);
       tracked.set_basis_state(basis);
-      dense.set_basis_state(basis);
+      set_dense_basis(dense, basis);
       for (const Step& step : small ? small_support_steps(n, 80, rng)
                                     : random_steps(n, 120, rng)) {
-        apply_tracked(tracked, step);
-        apply_dense(dense, step);
+        apply_step(tracked, step);
+        apply_step(dense, step);
       }
       expect_same_draws(tracked, dense, 99,
                         std::to_string(n) + (small ? " qubits, small" : " qubits"));
     }
+  }
+}
+
+// A fused plan (same-qubit 2x2 products through apply_matrix, every other
+// gate through apply_gate) runs on the support too: RevLib-view-shaped
+// streams with same-qubit chains (merged into exact diagonal or
+// anti-diagonal products) equal the dense run of the same plan up to zero
+// signs, and draw the same indices.
+TEST(SparseSupport, FusedPlanMatchesDenseRun) {
+  Rng rng(25);
+  for (int n : {5, 8, 12}) {
+    qir::Circuit c(n);
+    for (const Step& step : small_support_steps(n, 120, rng)) {
+      if (step.pauli != 0 || step.gate.kind == qir::GateKind::Barrier) continue;
+      c.add(step.gate);
+      const int q = step.gate.qubits[0];
+      if (rng.index(8) == 0) c.rz(0.3, q).x(q).t(q);
+    }
+    const FusionPlan plan = FusionPlan::build(c);
+    ASSERT_GT(plan.stats().gates_fused, 0u) << n << " qubits";
+    const std::size_t basis = rng.index(std::size_t{1} << n);
+    StateVector tracked(n), dense(n);
+    tracked.set_basis_state(basis);
+    set_dense_basis(dense, basis);
+    tracked.apply_fused(plan);
+    dense.apply_fused(plan);
+    const std::string where = std::to_string(n) + " qubits";
+    expect_same_bits(tracked, dense, true, where);
+    expect_same_draws(tracked, dense, 3, where);
   }
 }
 
@@ -533,18 +462,18 @@ TEST(SparseSupport, CopiesContinueIdentically) {
   for (int n : {6, 11}) {
     StateVector original(n);
     for (const Step& step : small_support_steps(n, 30, rng)) {
-      apply_tracked(original, step);
+      apply_step(original, step);
     }
     StateVector constructed(original);
     StateVector assigned(n);
     for (const Step& step : small_support_steps(n, 10, rng)) {
-      apply_tracked(assigned, step);
+      apply_step(assigned, step);
     }
     assigned = original;
     for (const Step& step : small_support_steps(n, 60, rng)) {
-      apply_tracked(original, step);
-      apply_tracked(constructed, step);
-      apply_tracked(assigned, step);
+      apply_step(original, step);
+      apply_step(constructed, step);
+      apply_step(assigned, step);
     }
     expect_same_bits(constructed, original, false, "copy-constructed");
     expect_same_bits(assigned, original, true, "copy-assigned");

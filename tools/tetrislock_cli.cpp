@@ -25,10 +25,10 @@
 //              0 = share the service pool; 1 = serial samplers). Counts are
 //              bit-identical at any --sample-jobs/--jobs value.
 //              --fuse turns on gate fusion in the noisy verification's
-//              ideal statevector runs (sim/fusion.h): adjacent gates merge
-//              into combined kernels, cutting amplitude sweeps on wide
-//              registers; errored trajectories replay gate by gate.
-//              Off by default — fused kernels reorder floating point, so
+//              ideal statevector runs (sim/fusion.h): each qubit's gates
+//              within a window of single-qubit gates merge into one 2x2,
+//              cutting sweeps; errored trajectories replay gate by gate.
+//              Off by default — merged 2x2s reorder floating point, so
 //              sampled metrics shift within shot noise and the flag is part
 //              of the result-cache fingerprint.
 //              --backend auto|statevector|stabilizer picks the
