@@ -133,6 +133,7 @@ void BM_NoisySampling(benchmark::State& state) {
   Rng rng(1);
   sim::SampleOptions opts;
   opts.shots = static_cast<std::size_t>(state.range(0));
+  opts.threads = 1;
   for (auto _ : state) {
     auto counts = sim::sample(compiled.circuit, target.noise, rng, opts);
     benchmark::DoNotOptimize(counts.shots);

@@ -9,7 +9,6 @@
 #include "common/json.h"
 #include "qir/qasm.h"
 #include "revlib/benchmarks.h"
-#include "runtime/thread_pool.h"
 #include "service/serialize.h"
 
 namespace tetris::net {
@@ -79,7 +78,8 @@ Dispatcher::Node::Node(const std::string& base_url, int timeout_ms)
 Dispatcher::Dispatcher(DispatcherConfig config)
     : config_(std::move(config)),
       ring_(config_.nodes.empty() ? 1 : config_.nodes.size(),
-            config_.hash_replicas) {
+            config_.hash_replicas),
+      pool_(config_.handler_threads) {
   TETRIS_REQUIRE(!config_.nodes.empty(),
                  "net: dispatcher needs at least one --node URL");
   for (const std::string& url : config_.nodes) {
@@ -99,10 +99,6 @@ Dispatcher::Dispatcher(DispatcherConfig config)
   }
   requests_total_ = &registry_.counter("tetris_dispatch_requests_total",
                                        "Downstream requests handled.");
-  if (config_.handler_threads > 0) {
-    private_pool_ =
-        std::make_unique<runtime::ThreadPool>(config_.handler_threads);
-  }
   ReactorConfig rc;
   rc.host = config_.host;
   rc.port = config_.port;
@@ -112,7 +108,7 @@ Dispatcher::Dispatcher(DispatcherConfig config)
   rc.max_requests_per_connection = config_.max_requests_per_connection;
   rc.max_header_bytes = config_.max_header_bytes;
   rc.max_body_bytes = config_.max_body_bytes;
-  rc.handler_pool = private_pool_.get();
+  rc.handler_pool = &pool_;
   reactor_ = std::make_unique<Reactor>(
       std::move(rc),
       [this](const http::Request& request) { return handle(request); },

@@ -12,6 +12,7 @@
 #include "net/http.h"
 #include "net/reactor.h"
 #include "obs/registry.h"
+#include "runtime/thread_pool.h"
 
 namespace tetris::net {
 
@@ -44,9 +45,10 @@ struct DispatcherConfig {
   int backlog = 64;
   /// Base URLs of the `serve` nodes to shard across ("http://host:port").
   std::vector<std::string> nodes;
-  /// Handler workers: 0 shares the runtime's global pool; a positive value
-  /// gives the dispatcher a private pool (recommended — upstream legs block).
-  unsigned handler_threads = 0;
+  /// Workers of the handler pool the dispatcher owns, one per proxied
+  /// request in flight (upstream legs block); 0 means the hardware
+  /// concurrency.
+  unsigned handler_threads = 8;
   int upstream_timeout_ms = 30000;  ///< per-leg connect/send/recv timeout
   int idle_timeout_ms = 10000;      ///< downstream keep-alive idle eviction
   int request_deadline_ms = 30000;  ///< downstream slow-request 408 deadline
@@ -156,7 +158,7 @@ class Dispatcher {
   DispatcherConfig config_;
   HashRing ring_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::unique_ptr<runtime::ThreadPool> private_pool_;
+  runtime::ThreadPool pool_;
   /// Declared before the reactor, which counts into it.
   obs::Registry registry_;
   obs::Counter* requests_total_ = nullptr;

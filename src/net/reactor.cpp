@@ -368,10 +368,10 @@ class Loop {
                          served_after >= config_.max_requests_per_connection;
     const bool keep = request.keep_alive() && !cap_hit && !conn.peer_closed;
     if (conn.requests_served > 0) impl_.keepalive_reuses.inc();
-    if (config_.inline_handlers) {
-      // Handlers declared quick and non-blocking run right here on the loop
-      // thread — no pool hop, no wake round trip. advance()'s loop keeps
-      // draining pipelined requests afterwards.
+    if (config_.handler_pool == nullptr) {
+      // Without a pool, handlers are quick and non-blocking and run right
+      // here on the loop thread — no pool hop, no wake round trip.
+      // advance()'s loop keeps draining pipelined requests afterwards.
       http::Response response;
       try {
         response = impl_.handler(request);
@@ -387,9 +387,7 @@ class Loop {
     const std::uint64_t id = conn.id;
     Reactor::Impl* impl = &impl_;
     impl_.inflight.fetch_add(1, std::memory_order_acq_rel);
-    runtime::ThreadPool& pool =
-        config_.handler_pool ? *config_.handler_pool
-                             : runtime::ThreadPool::global();
+    runtime::ThreadPool& pool = *config_.handler_pool;
     try {
       pool.submit([impl, id, keep, request = std::move(request),
                    handler = &impl_.handler]() {

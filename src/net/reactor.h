@@ -41,8 +41,13 @@ struct ReactorConfig {
   std::size_t max_header_bytes = std::size_t{16} << 10;  ///< 431 above this
   std::size_t max_body_bytes = std::size_t{1} << 20;     ///< 413 above this
 
-  /// Pool the handler runs on; nullptr = runtime::ThreadPool::global().
-  /// Ignored when inline_handlers is set.
+  /// Pool the handler runs on, owned by the Reactor's owner. nullptr runs
+  /// handlers synchronously on the loop thread, which saves two context
+  /// switches per request — the right call when every handler is quick and
+  /// non-blocking (net::Server qualifies: job compute lives on the Service
+  /// pool, its route handlers only parse/serialize). Handlers that block,
+  /// e.g. the dispatcher's upstream proxy legs, need a pool: an inline
+  /// blocking handler would stall every connection.
   runtime::ThreadPool* handler_pool = nullptr;
 
   /// Response observation hook, invoked on the loop thread as each response
@@ -55,21 +60,14 @@ struct ReactorConfig {
   /// null function disables observation entirely (the telemetry-off bench
   /// mode). nullptr by default.
   std::function<void(int status, double seconds)> observe_response;
-
-  /// Run handlers synchronously on the loop thread instead of a pool. Saves
-  /// two context switches per request — the right call when every handler is
-  /// quick and non-blocking (net::Server qualifies: job compute lives on the
-  /// Service pool, its route handlers only parse/serialize). Must stay false
-  /// for handlers that block, e.g. the dispatcher's upstream proxy legs —
-  /// an inline blocking handler would stall every connection.
-  bool inline_handlers = false;
 };
 
 /// poll(2)-based readiness event loop: one thread owns the listener, a wake
 /// pipe, and every connection socket (all non-blocking). Per connection it
 /// keeps an incremental http::RequestParser, an out-buffer, and timing state;
-/// complete requests are handed to `handler` on a thread pool, and the
-/// response is completed back onto the loop via the wake pipe. The loop never
+/// complete requests are handed to `handler` on the handler pool, and the
+/// response is completed back onto the loop via the wake pipe (without a
+/// pool the handler runs on the loop thread itself). The loop never
 /// blocks on a socket and the handler never touches one — so one stalled or
 /// malicious peer cannot delay any other connection.
 ///

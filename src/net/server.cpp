@@ -208,10 +208,9 @@ Server::Server(service::Service& service, ServerConfig config)
       latency->observe(seconds);
     };
   }
-  // Route handlers only parse, route, and serialize — job compute lives on
-  // the Service pool — so they run inline on the loop thread (two context
-  // switches per request cheaper than a pool hop).
-  rc.inline_handlers = true;
+  // No handler pool: route handlers only parse, route, and serialize — job
+  // compute lives on the Service pool — so they run inline on the loop
+  // thread (two context switches per request cheaper than a pool hop).
   reactor_ = std::make_unique<Reactor>(
       std::move(rc),
       [this](const http::Request& request) { return handle(request); },

@@ -1,6 +1,6 @@
 #include "runtime/thread_pool.h"
 
-#include <cstdlib>
+#include <algorithm>
 
 namespace tetris::runtime {
 
@@ -10,20 +10,12 @@ namespace {
 /// ThreadPool::worker_loop, null on every non-worker thread.
 thread_local ThreadPool* t_worker_pool = nullptr;
 
-std::mutex& global_pool_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-std::unique_ptr<ThreadPool>& global_pool_slot() {
-  static std::unique_ptr<ThreadPool> pool;
-  return pool;
-}
-
 }  // namespace
 
 ThreadPool::ThreadPool(unsigned num_threads) {
-  if (num_threads == 0) num_threads = default_global_threads();
+  if (num_threads == 0) {
+    num_threads = std::max(1u, std::thread::hardware_concurrency());
+  }
   workers_.reserve(num_threads);
   for (unsigned i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -70,40 +62,6 @@ ThreadPool::Stats ThreadPool::stats() const {
   return out;
 }
 
-bool ThreadPool::on_worker_thread() { return t_worker_pool != nullptr; }
-
 ThreadPool* ThreadPool::current() { return t_worker_pool; }
-
-unsigned ThreadPool::default_global_threads() {
-  if (const char* env = std::getenv("TETRIS_THREADS")) {
-    char* end = nullptr;
-    const long n = std::strtol(env, &end, 10);
-    if (end != env && n > 0 && n <= static_cast<long>(kMaxThreads)) {
-      return static_cast<unsigned>(n);
-    }
-  }
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
-
-ThreadPool& ThreadPool::global() {
-  std::lock_guard<std::mutex> lock(global_pool_mutex());
-  auto& slot = global_pool_slot();
-  if (!slot) slot = std::make_unique<ThreadPool>(default_global_threads());
-  return *slot;
-}
-
-void ThreadPool::set_global_threads(unsigned n) {
-  std::unique_ptr<ThreadPool> replacement =
-      std::make_unique<ThreadPool>(n == 0 ? default_global_threads() : n);
-  std::unique_ptr<ThreadPool> old;
-  {
-    std::lock_guard<std::mutex> lock(global_pool_mutex());
-    old = std::move(global_pool_slot());
-    global_pool_slot() = std::move(replacement);
-  }
-  // `old` destructs outside the lock: its destructor joins the workers, which
-  // may take a while if tasks are still draining.
-}
 
 }  // namespace tetris::runtime

@@ -27,17 +27,20 @@ namespace tetris::runtime {
 /// `run_chunked` (shard.h) splits a job's shots over a shared cursor that
 /// balances itself. Neither benefits from a fancier scheduler.
 ///
-/// Most callers should not construct a pool: use `ThreadPool::global()`,
-/// which is sized from `--jobs` / `TETRIS_THREADS` / the hardware and shared
-/// by the sampler and the service.
+/// Every pool has one owner, which builds it and passes it on: a
+/// `service::Service` owns the pool its jobs and their samplers run on, a
+/// `net::Dispatcher` the pool its proxy handlers block on. There is no
+/// process-wide pool; code that fans out inside a task finds the pool it
+/// already runs on through `current()`.
 class ThreadPool {
  public:
-  /// Widest pool a `--jobs` or `TETRIS_THREADS` value may ask for. Values
-  /// above it are rejected (`--jobs`) or ignored (`TETRIS_THREADS`) rather
-  /// than narrowed to `unsigned`, where 2^32 + 1 would wrap to one worker.
+  /// Widest pool a `--jobs` value may ask for. Larger values are rejected
+  /// rather than narrowed to `unsigned`, where 2^32 + 1 would wrap to one
+  /// worker.
   static constexpr unsigned kMaxThreads = 1024;
 
-  /// Spawns `num_threads` workers; 0 means `default_global_threads()`.
+  /// Spawns `num_threads` workers; 0 means the hardware concurrency (at
+  /// least one).
   explicit ThreadPool(unsigned num_threads = 0);
 
   /// Drains nothing: pending tasks are completed before the workers exit.
@@ -80,14 +83,6 @@ class ThreadPool {
     return future;
   }
 
-  /// True when the calling thread is a worker of *any* ThreadPool. Used by
-  /// `service::Service` to run a job submitted from a worker of its own pool
-  /// inline instead of deadlocking on nested parallelism (a pool task
-  /// waiting for pool tasks).
-  ///
-  /// \return true iff the caller is inside some pool's worker_loop.
-  static bool on_worker_thread();
-
   /// The pool whose worker is executing the calling thread.
   ///
   /// Nested fan-out (e.g. `sim::sample` sharding its shots from inside a
@@ -99,21 +94,6 @@ class ThreadPool {
   /// \return the owning pool, or nullptr when called from a non-worker
   ///         thread (the main thread, a detached std::thread, ...).
   static ThreadPool* current();
-
-  /// The process-wide shared pool. Created on first use with
-  /// `default_global_threads()` workers.
-  static ThreadPool& global();
-
-  /// Resizes the global pool (tears down the old one and spawns a new one).
-  /// Call at startup — e.g. from a `--jobs N` flag — before parallel work is
-  /// in flight; concurrent in-flight users of the old pool are waited for.
-  /// `n == 0` restores the default sizing.
-  static void set_global_threads(unsigned n);
-
-  /// Sizing rule for the global pool: `TETRIS_THREADS` env var when set to an
-  /// integer in [1, kMaxThreads], otherwise `std::thread::hardware_concurrency`
-  /// (>= 1).
-  static unsigned default_global_threads();
 
  private:
   void worker_loop();

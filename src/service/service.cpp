@@ -204,10 +204,8 @@ std::size_t Service::CacheKeyHash::operator()(const ArtifactKey& k) const {
   return static_cast<std::size_t>(combine(h, k.fingerprint));
 }
 
-Service::Service(ServiceConfig config) : config_(std::move(config)) {
-  if (config_.num_threads > 0) {
-    private_pool_ = std::make_unique<runtime::ThreadPool>(config_.num_threads);
-  }
+Service::Service(ServiceConfig config)
+    : config_(std::move(config)), pool_(config_.num_threads) {
   if (!config_.store_dir.empty()) {
     store_ = std::make_unique<ArtifactStore>(
         ArtifactStoreConfig{config_.store_dir, config_.store_max_entries});
@@ -254,12 +252,8 @@ Service::Service(ServiceConfig config) : config_(std::move(config)) {
 Service::~Service() {
   std::unique_lock<std::mutex> lk(mutex_);
   cv_.wait(lk, [this] { return outstanding_ == 0; });
-  // private_pool_ (if any) tears down after every job has finished, so no
-  // task can still reference this service.
-}
-
-runtime::ThreadPool& Service::pool() {
-  return private_pool_ ? *private_pool_ : runtime::ThreadPool::global();
+  // pool_ tears down after every job has finished, so no task can still
+  // reference this service.
 }
 
 JobHandle Service::submit(lock::FlowJob job) {
@@ -299,16 +293,9 @@ std::vector<JobHandle> Service::submit_all(std::vector<lock::FlowJob> jobs) {
 
 void Service::enqueue(const std::shared_ptr<JobRecord>& record,
                       lock::FlowJob job) {
-  // From inside a worker of the shared global pool, queueing and waiting
-  // would deadlock the fixed pool (a pool task waiting for a pool task); run
-  // the job inline instead.
-  if (!private_pool_ && runtime::ThreadPool::on_worker_thread()) {
-    execute(record, std::move(job));
-    return;
-  }
   // The future is intentionally dropped: completion is tracked by
   // outstanding_/cv_, and execute() never throws.
-  pool().submit([this, record, job = std::move(job)]() mutable {
+  pool_.submit([this, record, job = std::move(job)]() mutable {
     execute(record, std::move(job));
   });
 }
@@ -578,8 +565,7 @@ std::string Service::artifact_bytes(const JobHandle& handle) const {
 }
 
 runtime::ThreadPool::Stats Service::pool_stats() const {
-  return private_pool_ ? private_pool_->stats()
-                       : runtime::ThreadPool::global().stats();
+  return pool_.stats();
 }
 
 void Service::observe_stages(const obs::Trace& trace) {

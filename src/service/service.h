@@ -120,9 +120,8 @@ struct CacheStats {
 
 /// Service knobs.
 struct ServiceConfig {
-  /// Worker threads. 0 shares the process-global pool (sized by --jobs /
-  /// TETRIS_THREADS); a positive value gives this service a private pool of
-  /// exactly that size.
+  /// Workers of the pool this service owns, which runs its jobs and their
+  /// samplers' shot chunks; 0 means the hardware concurrency.
   unsigned num_threads = 0;
   /// Base seed from which per-job seeds are derived (see Service::submit).
   std::uint64_t base_seed = 2025;
@@ -215,9 +214,8 @@ class Service {
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  /// Async submission. Returns immediately (unless called from inside a
-  /// worker of the shared global pool, where the job runs inline to avoid
-  /// pool deadlock — the handle is then already terminal).
+  /// Async submission: queues the job on the service's pool and returns
+  /// immediately.
   JobHandle submit(lock::FlowJob job);
   JobHandle submit(lock::FlowJob job, std::uint64_t seed);
 
@@ -276,7 +274,7 @@ class Service {
   const ServiceConfig& config() const { return config_; }
 
   /// Point-in-time telemetry (width included) of the pool this service
-  /// executes on.
+  /// owns.
   runtime::ThreadPool::Stats pool_stats() const;
 
   /// The service's metrics registry, the only storage of its counters: jobs
@@ -327,7 +325,6 @@ class Service {
     std::shared_ptr<const std::string> artifact;
   };
 
-  runtime::ThreadPool& pool();
   /// Runs `job` as `record` on the pool; the task owns the job until it
   /// ends.
   void enqueue(const std::shared_ptr<JobRecord>& record, lock::FlowJob job);
@@ -350,7 +347,7 @@ class Service {
   std::shared_ptr<JobRecord> find(std::uint64_t id) const;
 
   ServiceConfig config_;
-  std::unique_ptr<runtime::ThreadPool> private_pool_;
+  runtime::ThreadPool pool_;
   /// Disk tier behind the memory LRU; internally synchronized, so execute()
   /// does its file I/O without holding mutex_.
   std::unique_ptr<ArtifactStore> store_;

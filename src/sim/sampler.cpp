@@ -285,14 +285,15 @@ Counts sample(const qir::Circuit& circuit, const NoiseModel& noise, Rng& rng,
   const std::vector<ErrorSite> sites = error_sites_of(gates, noise);
   const Bernoulli readout(noise.readout);
 
-  // Shard plan. The chunk grain is a pure performance knob: results are
-  // bit-identical for any partition because shot i's randomness is
-  // for_stream(base_seed, i) wherever it runs.
-  runtime::ThreadPool* pool = options.pool;
-  if (pool == nullptr) pool = runtime::ThreadPool::current();
-  if (pool == nullptr) pool = &runtime::ThreadPool::global();
-  const unsigned width = std::max(
-      1u, options.threads == 0 ? pool->size() : options.threads);
+  // Shard plan: over the pool this call runs on, serial off a pool. The
+  // chunk grain is a pure performance knob: results are bit-identical for
+  // any partition because shot i's randomness is for_stream(base_seed, i)
+  // wherever it runs.
+  runtime::ThreadPool* pool = runtime::ThreadPool::current();
+  unsigned width = 1;
+  if (pool != nullptr) {
+    width = std::max(1u, options.threads == 0 ? pool->size() : options.threads);
+  }
   const std::size_t grain = std::max<std::size_t>(1, options.shots_per_chunk);
   // Floor division honors the "at least `grain` shots per chunk" contract
   // (ceil could halve the final chunks); the width*4 cap gives each

@@ -10,10 +10,6 @@
 #include "sim/backend/backend.h"
 #include "sim/noise.h"
 
-namespace tetris::runtime {
-class ThreadPool;
-}
-
 namespace tetris::sim {
 
 /// \brief Shot histogram of a sampling run.
@@ -61,20 +57,16 @@ struct SampleOptions {
   /// Qubits to measure, in register order; empty means all qubits.
   std::vector<int> measured;
 
-  /// Worker fan-out of this call: shots are sharded over a thread pool in
-  /// chunks of at least `shots_per_chunk`.
-  ///   - 0 (default): auto — use the full width of the resolved pool;
+  /// Worker fan-out of this call. Called on a worker of a thread pool
+  /// (`ThreadPool::current()`, e.g. inside a `service::Service` flow job),
+  /// shots are sharded over that pool in chunks of at least
+  /// `shots_per_chunk`:
+  ///   - 0 (default): auto — use the full width of that pool;
   ///   - 1: run serially on the calling thread;
   ///   - N: use at most N workers (the caller plus N-1 pool helpers).
-  /// Any value produces bit-identical `Counts` (see `sample`).
+  /// Called off a pool worker, the call runs on the calling thread whatever
+  /// the value. Any value produces bit-identical `Counts` (see `sample`).
   unsigned threads = 0;
-
-  /// Pool the helper tasks are submitted to. nullptr resolves to the pool
-  /// whose worker is executing this call (`ThreadPool::current()`) so a
-  /// sampler inside a `service::Service` flow job shares the service pool
-  /// instead of oversubscribing, and to `ThreadPool::global()` on
-  /// non-worker threads.
-  runtime::ThreadPool* pool = nullptr;
 
   /// Minimum shots per shard chunk; runs with fewer than twice this many
   /// shots stay serial (scheduling a pool task costs more than a small
@@ -92,7 +84,7 @@ struct SampleOptions {
   /// tolerance-equal — NOT bit-identical — to unfused ones; the knob is
   /// therefore off by default and, unlike `threads`, part of
   /// `service::flow_fingerprint`. With `fuse` fixed, counts remain
-  /// bit-identical at any threads/pool/chunk setting as documented below.
+  /// bit-identical at any threads/chunk setting as documented below.
   bool fuse = false;
 
   /// Simulation engine for this call (sim/backend/backend.h). kAuto keeps
@@ -131,9 +123,9 @@ struct SampleOptions {
 /// `rng` — the base of a SplitMix64 stream family — and trajectory `i` then
 /// runs on its own generator `Rng::for_stream(base, i)`. A shot's randomness
 /// therefore depends only on (rng state at entry, shot index): the returned
-/// `Counts` are bit-identical at any `threads`, `pool`, or `shots_per_chunk`
-/// value, and the caller's `rng` advances by the same single draw whatever
-/// `shots` is. Shots are counted by raw basis index and the summed counts
+/// `Counts` are bit-identical at any `threads` or `shots_per_chunk` value,
+/// on any pool or none, and the caller's `rng` advances by the same single
+/// draw whatever `shots` is. Shots are counted by raw basis index and the summed counts
 /// projected onto an ordered map once per distinct index, so even the
 /// in-memory representation is identical.
 ///
@@ -143,7 +135,8 @@ struct SampleOptions {
 /// pools simply never get to the helpers — they find the cursor exhausted
 /// and return — so a saturated batch run degrades to serial per-job sampling
 /// instead of oversubscribing the machine, while a lone job fans out over
-/// the idle workers.
+/// the idle workers. Off a pool worker the call runs serially: a caller
+/// that wants shots sharded submits the call to a pool it owns.
 ///
 /// \param circuit circuit to sample (its width sets the register size)
 /// \param noise   stochastic Pauli noise model (see noise.h)

@@ -337,11 +337,11 @@ TEST(BackendDifferential, SamplerThreadInvarianceOnStabilizer) {
     SampleOptions opts;
     opts.shots = shots;
     opts.threads = threads;
-    opts.pool = &pool;
     opts.shots_per_chunk = 32;
     opts.backend = BackendKind::kStabilizer;
     Rng rng(123);
-    auto counts = sample(c, noise, rng, opts);
+    auto counts =
+        pool.submit([&] { return sample(c, noise, rng, opts); }).get();
     return std::make_pair(counts.histogram, rng.next_u64());
   };
 
@@ -353,10 +353,9 @@ TEST(BackendDifferential, SamplerThreadInvarianceOnStabilizer) {
   runtime::ThreadPool pool(2);
   SampleOptions opts;
   opts.shots = 0;
-  opts.pool = &pool;
   opts.backend = BackendKind::kStabilizer;
   Rng rng(123);
-  sample(c, noise, rng, opts);
+  pool.submit([&] { sample(c, noise, rng, opts); }).get();
   EXPECT_EQ(rng.next_u64(), serial.second);
 }
 

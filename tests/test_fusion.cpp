@@ -403,10 +403,10 @@ TEST(FusionSampler, FusedCountsBitIdenticalAcrossThreadCounts) {
     opts.shots = 600;
     opts.fuse = true;
     opts.threads = threads;
-    opts.pool = &pool;
     opts.shots_per_chunk = 37;  // force multi-chunk sharding
     Rng rng(555);
-    auto counts = sample(c, noise, rng, opts);
+    auto counts =
+        pool.submit([&] { return sample(c, noise, rng, opts); }).get();
     if (threads == 1u) {
       reference = counts;
     } else {

@@ -69,8 +69,8 @@ service::ServiceConfig fixture_service_config(unsigned threads) {
   return cfg;
 }
 
-/// A service (private 2-thread pool, so POSTs stay async) plus a started
-/// server on an ephemeral port and a client pointed at it.
+/// A service with a 2-thread pool plus a started server on an ephemeral
+/// port and a client pointed at it.
 class ServerFixture {
  public:
   explicit ServerFixture(

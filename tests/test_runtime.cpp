@@ -3,10 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <future>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -51,34 +49,12 @@ TEST(ThreadPool, SizeRespectsRequest) {
   EXPECT_GE(ThreadPool(0).size(), 1u);  // 0 = hardware default, at least one
 }
 
-TEST(ThreadPool, WorkerThreadFlag) {
-  EXPECT_FALSE(ThreadPool::on_worker_thread());
+TEST(ThreadPool, CurrentIsTheWorkersOwnPool) {
+  EXPECT_EQ(ThreadPool::current(), nullptr);
   ThreadPool pool(1);
-  EXPECT_TRUE(pool.submit([] { return ThreadPool::on_worker_thread(); }).get());
-}
-
-TEST(ThreadPool, DefaultThreadsIgnoresOutOfRangeEnv) {
-  // Only the sizing rule is probed: no pool is built from these values.
-  const char* env = std::getenv("TETRIS_THREADS");
-  const bool had_env = env != nullptr;
-  const std::string saved = had_env ? env : "";
-  ::unsetenv("TETRIS_THREADS");
-  const unsigned hardware = ThreadPool::default_global_threads();
-  EXPECT_GE(hardware, 1u);
-  for (const char* bad : {"0", "-3", "abc", "100000", "1025", "4294967296",
-                          "4294967297", "99999999999999999999"}) {
-    ::setenv("TETRIS_THREADS", bad, 1);
-    EXPECT_EQ(ThreadPool::default_global_threads(), hardware) << bad;
-  }
-  ::setenv("TETRIS_THREADS", "3", 1);
-  EXPECT_EQ(ThreadPool::default_global_threads(), 3u);
-  ::setenv("TETRIS_THREADS", "1024", 1);
-  EXPECT_EQ(ThreadPool::default_global_threads(), ThreadPool::kMaxThreads);
-  if (had_env) {
-    ::setenv("TETRIS_THREADS", saved.c_str(), 1);
-  } else {
-    ::unsetenv("TETRIS_THREADS");
-  }
+  ThreadPool other(1);
+  EXPECT_EQ(pool.submit([] { return ThreadPool::current(); }).get(), &pool);
+  EXPECT_EQ(other.submit([] { return ThreadPool::current(); }).get(), &other);
 }
 
 // --------------------------------------------------------------- run_chunked

@@ -194,8 +194,8 @@ NoiseModel test_noise() {
   return nm;
 }
 
-/// Samples `circuit` on a private pool of `threads` workers with a small
-/// chunk grain, so even modest shot counts really shard.
+/// Samples `circuit` from a task on a private pool of `threads` workers
+/// with a small chunk grain, so even modest shot counts really shard.
 Counts sample_at(const qir::Circuit& circuit, const NoiseModel& nm,
                  unsigned threads, std::size_t shots,
                  std::size_t shots_per_chunk = 16) {
@@ -203,10 +203,9 @@ Counts sample_at(const qir::Circuit& circuit, const NoiseModel& nm,
   SampleOptions opts;
   opts.shots = shots;
   opts.threads = threads;
-  opts.pool = &pool;
   opts.shots_per_chunk = shots_per_chunk;
   Rng rng(4242);
-  return sample(circuit, nm, rng, opts);
+  return pool.submit([&] { return sample(circuit, nm, rng, opts); }).get();
 }
 
 TEST(SamplerParallel, BitIdenticalAcrossThreadCountsOnRandomCircuits) {
@@ -246,9 +245,8 @@ TEST(SamplerParallel, CallerRngAdvancesByOneDrawRegardlessOfEverything) {
     SampleOptions opts;
     opts.shots = shots;
     opts.threads = threads;
-    opts.pool = &pool;
     Rng rng(31337);
-    sample(circuit, test_noise(), rng, opts);
+    pool.submit([&] { sample(circuit, test_noise(), rng, opts); }).get();
     return rng.next_u64();
   };
   const std::uint64_t reference = next_after(0, 1);
@@ -457,11 +455,11 @@ void expect_matches_reference(const qir::Circuit& c, const NoiseModel& noise,
       SampleOptions opts;
       opts.shots = shots;
       opts.threads = threads;
-      opts.pool = &pool;
       opts.shots_per_chunk = 16;
       opts.fuse = fuse;
       Rng rng(77);
-      const Counts counts = sample(c, noise, rng, opts);
+      const Counts counts =
+          pool.submit([&] { return sample(c, noise, rng, opts); }).get();
       const Counts& expected = fuse ? reference.fused : reference.unfused;
       EXPECT_EQ(counts.shots, expected.shots);
       EXPECT_EQ(counts.histogram, expected.histogram)

@@ -206,17 +206,24 @@ TEST(Service, OutcomeIsRepeatableAndLeavesDrainCursorAlone) {
   EXPECT_EQ(svc.drain([](const JobOutcome&) { FAIL(); }), 0u);
 }
 
-TEST(Service, SubmitFromWorkerThreadRunsInline) {
-  // A service call from inside a global-pool worker must not deadlock the
-  // fixed pool; the job executes inline and the handle is already terminal.
-  Service svc;
-  auto future = runtime::ThreadPool::global().submit([&svc] {
-    auto handle = svc.submit(benchmark_job("4mod5"));
-    return handle.poll();
-  });
-  JobState state = future.get();
-  EXPECT_TRUE(state == JobState::kDone || state == JobState::kFailed);
-  EXPECT_EQ(svc.wait_all().front().state, JobState::kDone);
+TEST(Service, DefaultServicesOwnTheirPools) {
+  // A default Service runs its jobs, and its samplers their shot chunks, on
+  // a pool of its own, so its pool telemetry describes its jobs alone.
+  Service first;
+  Service second;
+  first.submit(benchmark_job("4mod5", 1000));
+  ASSERT_EQ(first.wait_all().front().state, JobState::kDone);
+  EXPECT_GE(first.pool_stats().submitted, 1u);
+  EXPECT_EQ(second.pool_stats().submitted, 0u);
+
+  // A job submitted and awaited from another pool's worker queues on the
+  // Service's own pool: it neither deadlocks nor runs inline.
+  runtime::ThreadPool caller(1);
+  const JobState state = caller.submit([&second] {
+    return second.submit(benchmark_job("4mod5")).wait().state;
+  }).get();
+  EXPECT_EQ(state, JobState::kDone);
+  EXPECT_EQ(second.pool_stats().submitted, 1u);
 }
 
 // ----------------------------------------------------------------- failures

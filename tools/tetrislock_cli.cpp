@@ -56,7 +56,7 @@
 //              SIGTERM, then shuts down cleanly. Endpoints: POST /v1/jobs,
 //              GET /v1/jobs/{id}[?timing=0], GET /v1/jobs/{id}/artifact,
 //              DELETE /v1/jobs/{id}, GET /v1/status — docs/API.md is the
-//              full reference. --jobs sizes the service's private worker
+//              full reference. --jobs sizes the service's worker
 //              pool (so job compute never blocks connection handling);
 //              --cache enables the result cache; --store DIR adds the disk
 //              artifact tier (a restarted server warm-starts from DIR;
@@ -83,12 +83,14 @@
 //              `fetch --out f.tla` + `cmp f.tla STORE/<key>.tla` is the
 //              end-to-end integrity check CI runs.
 //
-// Every subcommand additionally accepts --jobs N (1..1024), which sizes the
-// shared worker pool used by the service and the sampler (default:
-// TETRIS_THREADS env var, then hardware concurrency); serve and dispatch
-// size their own pools with it instead, and submit and fetch ignore it. Unknown
-// flags and non-integer values for integer flags are rejected with a
-// per-subcommand error instead of being silently ignored.
+// Every subcommand additionally accepts --jobs N (1..1024). It sizes the
+// worker pool of the service that protect and serve build (default: the
+// hardware concurrency), which runs the jobs and their samplers' shot
+// chunks, and dispatch's handler pool (default 8); the other subcommands
+// build no pool and ignore it. Unknown flags, non-integer values for integer
+// flags and integers out of a flag's range are rejected with a
+// per-subcommand error naming the flag instead of being silently ignored or
+// narrowed.
 //
 // Exit status is non-zero on any validation failure, so the tool can anchor
 // shell pipelines and CI checks.
@@ -135,6 +137,16 @@
 namespace {
 
 using namespace tetris;
+
+/// Upper bounds of the integer flags that are narrowed to `int` or
+/// `unsigned`, where a larger value would wrap (2^32 + 2 to 2): REST's
+/// bounds for the fields REST has (`max_gates`, `sample_jobs`), the TCP
+/// port range, and for Eq. 1's qubit counts a bound above any device at
+/// which its double sum over nmax x n terms still takes under a second.
+constexpr long kMaxGates = 1'000'000;
+constexpr long kMaxSampleJobs = 65'536;
+constexpr long kMaxPort = 65'535;
+constexpr long kMaxComplexityQubits = 4'096;
 
 struct Options {
   std::map<std::string, std::string> values;
@@ -274,7 +286,8 @@ qir::Circuit load_circuit(const Options& o, std::vector<int>* measured) {
 
 lock::InsertionConfig insertion_config(const Options& o) {
   lock::InsertionConfig cfg;
-  cfg.max_random_gates = static_cast<int>(o.get_long("max-gates", 2, 0));
+  cfg.max_random_gates =
+      static_cast<int>(o.get_long("max-gates", 2, 0, kMaxGates));
   cfg.allow_gap_insertion = o.has("gap");
   cfg.alphabet = lock::parse_insertion_alphabet(o.get("alphabet", "mixed"));
   return cfg;
@@ -300,15 +313,22 @@ lock::FlowConfig flow_config(const Options& o) {
   cfg.insertion = insertion_config(o);
   cfg.shots = static_cast<std::size_t>(o.get_long("shots", 1000, 1));
   cfg.sample_threads =
-      static_cast<unsigned>(o.get_long("sample-jobs", 0, 0));
+      static_cast<unsigned>(o.get_long("sample-jobs", 0, 0, kMaxSampleJobs));
   cfg.fusion = o.has("fuse");
   cfg.backend = sim::parse_backend_kind(o.get("backend", "auto"));
   return cfg;
 }
 
+/// `--jobs`, range-checked; 0 (the hardware concurrency) when absent.
+unsigned pool_width(const Options& o) {
+  return static_cast<unsigned>(
+      o.get_long("jobs", 0, 1, runtime::ThreadPool::kMaxThreads));
+}
+
 /// Service configured from the shared protect flags.
 service::ServiceConfig service_config(const Options& o, std::size_t jobs) {
   service::ServiceConfig cfg;
+  cfg.num_threads = pool_width(o);
   cfg.base_seed = static_cast<std::uint64_t>(o.get_long("seed", 2025, 0));
   cfg.cache_capacity =
       o.has("cache") ? std::max<std::size_t>(jobs, 64) : 0;
@@ -589,8 +609,9 @@ int cmd_protect(const Options& o) {
 }
 
 int cmd_complexity(const Options& o) {
-  int n = static_cast<int>(o.get_long("n", 5, 1));
-  int nmax = static_cast<int>(o.get_long("nmax", 27, 1));
+  int n = static_cast<int>(o.get_long("n", 5, 1, kMaxComplexityQubits));
+  int nmax =
+      static_cast<int>(o.get_long("nmax", 27, 1, kMaxComplexityQubits));
   double k = static_cast<double>(o.get_long("k", 1, 1));
   double cascade = lock::log_attack_complexity_cascade(n, k);
   double tetris = lock::log_attack_complexity_tetrislock(n, nmax, k);
@@ -615,16 +636,14 @@ extern "C" void serve_stop_handler(int) {
 int cmd_serve(const Options& o) {
   service::ServiceConfig scfg;
   scfg.base_seed = 2025;  // unused: every HTTP submission carries its seed
-  scfg.num_threads = static_cast<unsigned>(
-      o.has("jobs") ? o.get_long("jobs", 0, 1)
-                    : runtime::ThreadPool::default_global_threads());
+  scfg.num_threads = pool_width(o);
   scfg.cache_capacity = o.has("cache") ? 128 : 0;
   scfg.store_dir = o.get("store");
   scfg.store_max_entries =
       static_cast<std::size_t>(o.get_long("store-max", 0, 0));
 
   net::ServerConfig ncfg;
-  ncfg.port = static_cast<int>(o.get_long("port", 8080, 0));
+  ncfg.port = static_cast<int>(o.get_long("port", 8080, 0, kMaxPort));
   ncfg.max_body_bytes =
       static_cast<std::size_t>(o.get_long("max-body", 1 << 20, 1024));
   ncfg.max_requests_per_connection =
@@ -657,7 +676,7 @@ int cmd_serve(const Options& o) {
 /// Shares the serve self-pipe shutdown (SIGINT/SIGTERM drain).
 int cmd_dispatch(const Options& o) {
   net::DispatcherConfig cfg;
-  cfg.port = static_cast<int>(o.get_long("port", 8080, 0));
+  cfg.port = static_cast<int>(o.get_long("port", 8080, 0, kMaxPort));
   cfg.nodes = o.get_list("node");
   if (cfg.nodes.empty()) {
     throw InvalidArgument(
@@ -670,11 +689,7 @@ int cmd_dispatch(const Options& o) {
       static_cast<std::size_t>(o.get_long("max-body", 1 << 20, 1024));
   cfg.max_requests_per_connection =
       static_cast<std::size_t>(o.get_long("max-requests-per-conn", 0, 0));
-  // Private handler pool: every leg of a proxied request blocks on an
-  // upstream node, so sharing the global compute pool would let slow nodes
-  // starve unrelated work.
-  cfg.handler_threads = static_cast<unsigned>(
-      o.has("jobs") ? o.get_long("jobs", 0, 1) : 8);
+  if (o.has("jobs")) cfg.handler_threads = pool_width(o);
 
   net::Dispatcher dispatcher(cfg);
 
@@ -908,7 +923,8 @@ int usage() {
   std::cerr << "usage: tetrislock_cli "
                "{info|obfuscate|split|protect|serve|submit|fetch|complexity} "
                "[--flags]\n"
-               "       global: --jobs N   (worker threads; also TETRIS_THREADS)\n"
+               "       global: --jobs N   (worker threads of the service "
+               "or dispatcher pool)\n"
                "       protect: --shots N --sample-jobs N  (trajectory count "
                "+ sampler fan-out)\n"
                "       protect: --fuse  (gate-fused statevector kernels in "
@@ -943,17 +959,9 @@ int main(int argc, char** argv) {
     const std::set<std::string>* allowed = allowed_flags(cmd);
     if (allowed == nullptr) return usage();
     Options o = parse(argc, argv, 2, cmd, *allowed);
-    // --jobs is range-checked once, here, before any pool is built. serve
-    // and dispatch size their private pools from the same value, and
-    // neither they nor the HTTP clients submit and fetch run anything on
-    // the global pool, so only the local subcommands build it.
-    if (o.has("jobs")) {
-      const auto jobs = static_cast<unsigned>(
-          o.get_long("jobs", 0, 1, runtime::ThreadPool::kMaxThreads));
-      const bool global_pool = cmd != "serve" && cmd != "dispatch" &&
-                               cmd != "submit" && cmd != "fetch";
-      if (global_pool) runtime::ThreadPool::set_global_threads(jobs);
-    }
+    // --jobs is range-checked once, here, for every subcommand, including
+    // those that build no pool.
+    pool_width(o);
     if (cmd == "info") return cmd_info(o);
     if (cmd == "obfuscate") return cmd_obfuscate(o);
     if (cmd == "split") return cmd_split(o);
